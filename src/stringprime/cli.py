@@ -73,7 +73,7 @@ def _cmd_bound(args) -> int:
     rep = bound_report(args.l)
     row = [
         rep.l,
-        rep.r,
+        f"10^{rep.l}" if rep.log_scale else rep.r,  # str(r) may pass Python's digit limit
         "log" if rep.log_scale else "linear",
         rep.bound_simple,
         rep.bound_exact,

@@ -55,7 +55,7 @@ class PatternAutomaton:
         self.transition: tuple[tuple[int, ...], ...] = tuple(table)
         # _survivors[j][s]: digit strings of length j from state s that never
         # reach accept; extended lazily as larger bounds are counted.
-        self._survivors: list[list[int]] = [[1] * l + [0]]
+        self._survivors: tuple[list[int], ...] = ([1] * l + [0],)
 
     def step(self, state: int, digit: int) -> int:
         return self.transition[state][digit]
@@ -74,16 +74,21 @@ class PatternAutomaton:
         """Counts, per start state, of length-`length` digit strings that
         avoid the pattern."""
         table = self._survivors
-        accept = self.accept_state
-        while len(table) <= length:
-            prev = table[-1]
-            table.append(
-                [
-                    sum(prev[t] for t in row if t != accept)
-                    for row in self.transition[:accept]
-                ]
-                + [0]
-            )
+        if len(table) <= length:
+            # Extend a private copy and publish it with one assignment, so a
+            # concurrent reader or extender never sees a half-grown table.
+            rows = list(table)
+            accept = self.accept_state
+            while len(rows) <= length:
+                prev = rows[-1]
+                rows.append(
+                    [
+                        sum(prev[t] for t in row if t != accept)
+                        for row in self.transition[:accept]
+                    ]
+                    + [0]
+                )
+            table = self._survivors = tuple(rows)
         return table[length]
 
 

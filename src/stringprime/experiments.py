@@ -11,6 +11,8 @@ import csv
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digits import DigitString, as_digit_string, parse_digit_string
 from .errors import DomainError
 from .primes import is_prime, primes_up_to
@@ -68,9 +70,10 @@ def least_prime_containing(
 ) -> int | None:
     """Smallest prime <= limit containing the pattern, or None."""
     text = as_digit_string(pattern).text
-    for p in primes_up_to(limit, cache_dir=cache_dir):
-        if text in str(p):
-            return p
+    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
+        hits = primes[_containing(primes, text)]
+        if hits.size:
+            return int(hits[0])
     return None
 
 
@@ -93,30 +96,22 @@ def coverage_threshold(
         raise DomainError("coverage is desk-scale only: 1 <= length <= 6")
     _check_threads(threads)
     lo = 10 ** (length - 1)
-    universe = 9 * lo
-    first_prime = [0] * (10 * lo)
-    covered = 0
-    for p in primes_up_to(limit, cache_dir=cache_dir):
-        s = str(p)
-        for i in range(len(s) - length + 1):
-            if s[i] == "0":
-                continue
-            v = int(s[i : i + length])
-            if first_prime[v] == 0:
-                first_prime[v] = p
-                covered += 1
-                if covered == universe:
-                    covered_at = {
-                        parse_digit_string(str(u)): first_prime[u]
-                        for u in range(lo, 10 * lo)
-                    }
-                    return CoverageResult(
-                        length=length,
-                        universe_size=universe,
-                        m=p,
-                        last_string=parse_digit_string(str(v)),
-                        covered_at=covered_at,
-                    )
+    first = np.zeros(10 * lo, dtype=np.int32)  # first[v]: least prime containing v
+    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
+        wins = _windows(primes, length)[0]
+        # uncovered nonzero-led windows (these lie inside their prime) in
+        # scan order: ascending prime, then left to right
+        rows, cols = np.nonzero((wins >= lo) & (first[wins] == 0))
+        vals, at = np.unique(wins[rows, cols], return_index=True)
+        first[vals] = primes[rows[at]]
+        if first[lo:].all():
+            return CoverageResult(
+                length=length,
+                universe_size=9 * lo,
+                m=int(first.max()),
+                last_string=parse_digit_string(str(vals[at.argmax()])),
+                covered_at={parse_digit_string(str(u)): p for u, p in enumerate(first[lo:].tolist(), lo)},
+            )
     return None
 
 
@@ -138,7 +133,8 @@ def find_prime_ap(
     if k > 6:
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
-    candidates = [p for p in primes_up_to(limit, cache_dir=cache_dir) if text in str(p)]
+    stream = primes_up_to(limit, cache_dir=cache_dir).arrays()
+    candidates = np.concatenate([a[_containing(a, text)] for a in stream]).tolist()
     member = set(candidates)
     for i, a in enumerate(candidates):
         max_d = (limit - a) // (k - 1)
@@ -183,30 +179,30 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
     bounds = sorted(set(bounds))
-    text = pat.text
-    reports: list[DensityReport] = []
-    pi_n = containing = 0
-    idx = 0
-    stream = primes_up_to(bounds[-1], cache_dir=cache_dir) if bounds[-1] >= 2 else []
-    for p in stream:
-        while idx < len(bounds) and p > bounds[idx]:
-            reports.append(_density_report(pat, bounds[idx], pi_n, containing))
-            idx += 1
-        if idx == len(bounds):
-            break
-        pi_n += 1
-        if text in str(p):
-            containing += 1
-    while idx < len(bounds):
-        reports.append(_density_report(pat, bounds[idx], pi_n, containing))
-        idx += 1
-    return reports
+    pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
+    for primes in primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir).arrays():
+        pi_n += np.searchsorted(primes, bounds, side="right")
+        containing += np.searchsorted(primes[_containing(primes, pat.text)], bounds, side="right")
+    return [
+        DensityReport(pattern=pat, n=n, pi_n=p, containing=c, avoiding=p - c)
+        for n, p, c in zip(bounds, pi_n.tolist(), containing.tolist())
+    ]
 
 
-def _density_report(pat: DigitString, n: int, pi_n: int, containing: int) -> DensityReport:
-    return DensityReport(
-        pattern=pat, n=n, pi_n=pi_n, containing=containing, avoiding=pi_n - containing
-    )
+def _windows(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the windows (p // 10**k) % 10**length of primes[i] for k
+    descending (leftmost first), and a mask of those inside p's rendering.
+    Primes are below 10^9, so int32 holds them; with no windows (length >
+    digits) the modulus goes unused and is kept small."""
+    digits = len(str(primes.max(initial=0)))
+    shifted = primes.astype(np.int32)[:, None] // 10 ** np.arange(digits - length, -1, -1, dtype=np.int32)
+    return shifted % 10 ** min(length, digits), shifted >= 10 ** (length - 1)
+
+
+def _containing(primes: np.ndarray, text: str) -> np.ndarray:
+    """Mask of the primes whose decimal rendering contains `text`."""
+    wins, inside = _windows(primes, len(text))
+    return (inside & (wins == int(text[:10]))).any(axis=1)  # a longer text has no windows
 
 
 def verify_ap(result: APResult, pattern: DigitString | str) -> bool:

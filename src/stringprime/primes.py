@@ -12,6 +12,7 @@ import os
 import struct
 import sys
 import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,8 +26,9 @@ SEGMENT_SPAN = 1 << 20
 SIEVE_CEILING = 10**9
 
 _CACHE_MAGIC = b"SPSV"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIQQ")
+_CACHE_VERSION = 2
+# magic, version, span, covered integers, CRC-32 of the packed payload
+_CACHE_HEADER = struct.Struct("<4sIQQI")
 _CACHE_FILENAME = "sieve.spsv"
 
 
@@ -112,13 +114,18 @@ class PrimeStream:
             return
         yield from _sieve_segments(self.limit)
 
-    def __iter__(self) -> Iterator[int]:
-        yield 2
+    def arrays(self) -> Iterator[np.ndarray]:
+        """The primes <= limit as one ascending int64 array per segment, 2
+        leading the first; the last array may be empty."""
         for seg in self.segments():
-            odds = seg.base + 1 + 2 * np.flatnonzero(~seg.odd_composite)
-            if seg.base + seg.span > self.limit:
-                odds = odds[odds <= self.limit]
-            yield from odds.tolist()
+            primes = seg.base + 1 + 2 * np.flatnonzero(~seg.odd_composite)
+            if seg.base == 0:
+                primes = np.concatenate(([2], primes))
+            yield primes[primes <= self.limit]
+
+    def __iter__(self) -> Iterator[int]:
+        for primes in self.arrays():
+            yield from primes.tolist()
 
 
 def primes_up_to(limit: int, cache_dir: str | os.PathLike | None = None) -> PrimeStream:
@@ -137,13 +144,8 @@ def prime_mask(limit: int) -> np.ndarray:
     _check_limit(limit)
     mask = np.zeros(limit + 1, dtype=bool)
     if limit >= 2:
-        mask[2] = True
-    for seg in _sieve_segments(limit):
-        odds = seg.base + 1 + 2 * np.flatnonzero(~seg.odd_composite)
-        odds = odds[odds <= limit]
-        mask[odds] = True
-        if seg.base + seg.span > limit:
-            break
+        for primes in PrimeStream(limit).arrays():
+            mask[primes] = True
     return mask
 
 
@@ -231,8 +233,8 @@ def _cache_path(cache_dir: str) -> str:
 def _read_cache(cache_dir: str, limit: int) -> list[SieveSegment] | None:
     """Load cached segments covering [0, limit], or None if unusable.
 
-    Corruption is detected by the header check only; a bad file is ignored
-    with a warning and the range is recomputed.
+    A bad header, payload size or payload CRC-32 marks the file corrupt: it
+    is ignored with a warning and the range is recomputed.
     """
     path = _cache_path(cache_dir)
     try:
@@ -240,24 +242,24 @@ def _read_cache(cache_dir: str, limit: int) -> list[SieveSegment] | None:
             header = fh.read(_CACHE_HEADER.size)
             if len(header) < _CACHE_HEADER.size:
                 raise ValueError("truncated header")
-            magic, version, span, covered = _CACHE_HEADER.unpack(header)
+            magic, version, span, covered, crc = _CACHE_HEADER.unpack(header)
             if magic != _CACHE_MAGIC:
                 raise ValueError("bad magic")
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported version {version}")
             if span <= 0 or span % 2 or covered % span:
                 raise ValueError("inconsistent header geometry")
+            if covered < limit + 1:
+                return None  # cache too short; caller re-sieves and rewrites
             body = fh.read()
+            if len(body) != (covered // 2 + 7) // 8:
+                raise ValueError("wrong payload size")
+            if zlib.crc32(body) != crc:
+                raise ValueError("payload checksum mismatch")
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
         print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
-        return None
-    if covered < limit + 1:
-        return None  # cache too short; caller re-sieves and rewrites
-    expected_bytes = (covered // 2 + 7) // 8
-    if len(body) != expected_bytes:
-        print(f"stringprime: ignoring corrupt sieve cache {path}: wrong payload size", file=sys.stderr)
         return None
     bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=covered // 2)
     marks = bits.astype(bool)
@@ -277,8 +279,8 @@ def _write_cache(cache_dir: str, segments: list[SieveSegment]) -> None:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, span, covered))
             packed = np.packbits(np.concatenate([s.odd_composite for s in segments]))
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, span, covered, zlib.crc32(packed)))
             fh.write(packed.tobytes())
         os.replace(tmp, _cache_path(cache_dir))
     except OSError as exc:

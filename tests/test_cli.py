@@ -128,6 +128,14 @@ def test_bound_log_scale_note(capsys):
     assert "natural logarithms" in err
 
 
+@pytest.mark.parametrize("fmt", ["human", "markdown", "csv"])
+def test_bound_log_scale_renders_r_as_power(capsys, fmt):
+    # str(10**5000) exceeds Python's int-to-str digit limit
+    code, out, _ = run_cli(capsys, "bound", "--l", "5000", "--format", fmt)
+    assert code == 0
+    assert "10^5000" in out.replace(",", " ").replace("|", " ").split()
+
+
 def test_coupon_row(capsys):
     code, out, _ = run_cli(capsys, "coupon", "--l", "2", "--format", "csv", "--precision", "10")
     assert code == 0

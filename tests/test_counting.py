@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -234,3 +235,39 @@ def test_avoider_share_eventually_decays():
         counts = {e: count_avoiders(auto, 10**e) for e in range(10, 23)}
         for e in range(10, 22):
             assert counts[e + 1] * (e + 1) < 10 * counts[e] * e
+
+
+def test_survivor_table_extension_is_thread_safe():
+    # Thread A pauses inside its first table extension while thread B grows
+    # the shared table to six rows; A then finishes its own extension.  An
+    # in-place append by A would land as a seventh row and shift every later
+    # row by one, so A's 38-digit count and all later counts would be wrong.
+    x = 10**37 + 12_345
+    auto = PatternAutomaton("1231")
+    paused = threading.Event()
+    resume = threading.Event()
+    results = {}
+
+    class PausingRows(tuple):
+        def __getitem__(self, key):
+            if isinstance(key, slice) and threading.current_thread().name == "A" and not resume.is_set():
+                paused.set()
+                resume.wait(timeout=10)
+            return super().__getitem__(key)
+
+    auto.transition = PausingRows(auto.transition)
+    a = threading.Thread(target=lambda: results.setdefault("A", count_avoiders(auto, x)), name="A")
+    a.start()
+    try:
+        assert paused.wait(timeout=10)
+        b = threading.Thread(target=lambda: results.setdefault("B", count_avoiders(auto, 10**5)), name="B")
+        b.start()
+        b.join(timeout=10)
+        assert not b.is_alive()
+    finally:
+        resume.set()
+        a.join(timeout=10)
+    assert not a.is_alive()
+    fresh = PatternAutomaton("1231")
+    assert results == {"A": count_avoiders(fresh, x), "B": count_avoiders(fresh, 10**5)}
+    assert count_avoiders(auto, x) == count_avoiders(fresh, x)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import math
+import types
 
+import numpy as np
 import pytest
 
+from stringprime import experiments
 from stringprime.counting import count_avoiders
 from stringprime.digits import contains, parse_digit_string
 from stringprime.errors import DomainError
@@ -16,7 +19,85 @@ from stringprime.experiments import (
     relative_density,
     verify_ap,
 )
-from stringprime.primes import is_prime
+from stringprime.primes import SEGMENT_SPAN, is_prime, primes_up_to
+
+# Scalar reference scans: one Python int at a time, containment by substring.
+PATTERNS = ["7", "0", "00", "03", "05", "11", "121", "1212", "909", "1000003", "123456789012"]
+LIMITS = [10, 1_000, SEGMENT_SPAN + 1]
+
+
+def scalar_containing(text: str, limit: int) -> list[int]:
+    return [p for p in primes_up_to(limit) if text in str(p)]
+
+
+def scalar_coverage(length: int, limit: int):
+    """(m, last string, {string: first containing prime}) or None."""
+    lo = 10 ** (length - 1)
+    first = {}
+    for p in primes_up_to(limit):
+        s = str(p)
+        for i in range(len(s) - length + 1):
+            w = s[i : i + length]
+            if w[0] != "0" and w not in first:
+                first[w] = p
+                if len(first) == 9 * lo:
+                    return p, w, first
+    return None
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("text", PATTERNS)
+def test_scans_match_scalar_reference(text, limit):
+    hits = scalar_containing(text, limit)
+    assert least_prime_containing(text, limit) == (hits[0] if hits else None)
+    rep = relative_density(text, limit)
+    assert (rep.pi_n, rep.containing) == (len(list(primes_up_to(limit))), len(hits))
+    ap = find_prime_ap(text, 3, limit)
+    member = set(hits)
+    expected = next(
+        ((a, b - a) for i, a in enumerate(hits) for b in hits[i + 1 :] if 2 * b - a in member and 2 * b - a <= limit),
+        None,
+    )
+    assert (ap and (ap.first_term, ap.difference)) == expected
+
+
+@pytest.mark.parametrize("length, limit", [(1, 82), (1, 83), (2, 10_000), (3, 50_410), (3, 100_000), (4, 10**6)])
+def test_coverage_matches_scalar_reference(length, limit):
+    result = coverage_threshold(length, limit)
+    expected = scalar_coverage(length, limit)
+    if expected is None:
+        assert result is None
+        return
+    m, last, first = expected
+    assert (result.m, result.last_string.text) == (m, last)
+    assert {s.text: p for s, p in result.covered_at.items()} == first
+
+
+def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch):
+    # 689 completes coverage with three new digits at once; the scan order
+    # (ascending number, then left to right) makes 9 the last string.
+    numbers = np.array([11, 23, 457, 689], dtype=np.int64)
+    stream = types.SimpleNamespace(arrays=lambda: iter([numbers[:2], numbers[2:]]))
+    monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
+    result = coverage_threshold(1, 1_000)
+    assert (result.m, result.last_string.text) == (689, "9")
+    assert {s.text: p for s, p in result.covered_at.items() if p == 689} == {"6": 689, "8": 689, "9": 689}
+
+
+def test_scan_results_are_plain_ints():
+    cov = coverage_threshold(2, 10_000)
+    ap = find_prime_ap("3", 4, 10_000)
+    rep = relative_density("9", 10_000)
+    values = [cov.m, *cov.covered_at.values(), least_prime_containing("9", 100), *ap.terms, ap.first_term,
+              ap.difference, rep.pi_n, rep.containing, rep.avoiding]
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.slow
+def test_coverage_l6():
+    # one row past the paper's Table 1
+    result = coverage_threshold(6, 10**9)
+    assert (result.m, result.last_string.text) == (106_658_081, "665808")
 
 
 def test_least_prime_examples():

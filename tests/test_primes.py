@@ -8,6 +8,7 @@ import pytest
 
 from stringprime.errors import DomainError, ResourceLimitError
 from stringprime.primes import (
+    _CACHE_HEADER,
     SEGMENT_SPAN,
     SIEVE_CEILING,
     PrimeStream,
@@ -80,6 +81,23 @@ def test_stream_strictly_increasing_and_bounded():
         ps = list(primes_up_to(limit))
         assert all(a < b for a, b in zip(ps, ps[1:]))
         assert ps[-1] <= limit
+
+
+@pytest.mark.parametrize("limit", [2, 3, 97, SEGMENT_SPAN, SEGMENT_SPAN + 1, 2 * SEGMENT_SPAN + 7])
+def test_arrays_match_oracle(limit):
+    arrays = list(PrimeStream(limit).arrays())
+    assert len(arrays) == limit // SEGMENT_SPAN + 1  # one array per segment
+    assert all(a.dtype == np.int64 for a in arrays)
+    assert arrays[0][0] == 2
+    assert np.array_equal(np.concatenate(arrays), np.flatnonzero(plain_sieve(limit)))
+
+
+def test_arrays_last_segment_may_be_empty():
+    # 2^20 + 1 = 17 * 61681: the segment past the span holds no prime <= limit
+    limit = SEGMENT_SPAN + 1
+    assert list(PrimeStream(limit).arrays())[-1].size == 0
+    assert list(primes_up_to(limit)) == list(primes_up_to(SEGMENT_SPAN))
+    assert prime_mask(limit).sum() == prime_count(SEGMENT_SPAN)
 
 
 def test_stream_limit_validation():
@@ -229,6 +247,19 @@ def test_cache_truncation_is_ignored(tmp_path, capsys):
     got = list(primes_up_to(10_000, cache_dir=tmp_path))
     assert got == trial_division_primes(10_000)
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_payload_damage_is_detected(tmp_path, capsys):
+    assert prime_count(10**6, cache_dir=tmp_path) == 78_498
+    path = tmp_path / "sieve.spsv"
+    data = bytearray(path.read_bytes())
+    data[_CACHE_HEADER.size + 1_000] ^= 0xFF
+    path.write_bytes(bytes(data))
+    assert prime_count(10**6, cache_dir=tmp_path) == 78_498
+    assert "corrupt" in capsys.readouterr().err
+    # the damaged file was rewritten and now reads back cleanly
+    assert prime_count(10**6, cache_dir=tmp_path) == 78_498
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_absence_never_changes_results(tmp_path):
