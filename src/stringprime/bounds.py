@@ -9,6 +9,7 @@ base 10 would not reproduce the l = 1 reference value 330.7.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -17,6 +18,7 @@ _LN10 = math.log(10.0)
 # Past this length 10^l arithmetic leaves comfortable double range; reports
 # switch to natural-log scale.
 PLAIN_SCALE_MAX_L = 18
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,13 @@ def solve_log_n(bound: float) -> float:
     y = bound * math.log(bound)
     for _ in range(_SOLVE_MAX_ITERATIONS):
         if abs(y / math.log(y) - bound) <= _SOLVE_RELATIVE_TOL * bound:
-            return y
+            break
         y = bound * math.log(y)
-    return _solve_by_bisection(bound)
+    else:
+        y = _solve_by_bisection(bound)
+    if not math.isfinite(y):
+        raise DomainError(f"y / log y = {bound:g} has no root in double range; `bound --l L` reports on a log scale")
+    return y
 
 
 def _solve_by_bisection(bound: float) -> float:
@@ -130,10 +136,13 @@ def coupon_prediction(l: int) -> tuple[float, float]:
     Expected prime count pi(N): primes below 10^(l-1) (prime number theorem)
     plus one draw per length-l string, 9*10^(l-1) strings needing about
     n log n draws in total.  predicted N then solves N / log N = pi(N).
-    The l = 1 case divides by zero and is rejected, not patched.
+    The l = 1 case divides by zero and is rejected, not patched, and so
+    are lengths whose predicted N passes double range.
     """
     if l < 2:
         raise DomainError("coupon prediction needs l >= 2")
+    if l > PLAIN_SCALE_MAX_L and _coupon_prediction_log(l)[1] >= _LOG_DOUBLE_MAX:
+        raise DomainError(f"coupon prediction for l = {l} passes double range; `bound --l {l}` gives its natural log")
     universe = 9 * 10 ** (l - 1)
     expected_pi = 10 ** (l - 1) / ((l - 1) * _LN10) + universe * math.log(universe)
     return expected_pi, solve_log_n(expected_pi)

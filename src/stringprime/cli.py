@@ -3,7 +3,7 @@
 Every operation is reachable as a subcommand; tables render as human,
 csv, or markdown text with deterministic formatting ('.' decimal point,
 no locale).  Exit codes: 0 success, 1 not found within the limit,
-2 invalid arguments or domain errors, 3 resource limits.
+2 invalid arguments or domain errors, 3 resource limits, 4 internal errors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 # Coverage limits known to exceed the least prime bound for each length.
 _TABLE1_LIMITS = {1: 10**3, 2: 10**4, 3: 10**5, 4: 10**6, 5: 10**7}
@@ -290,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:  # a defect, not a user error: one line, no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ SEGMENT_SPAN = 1 << 20
 SIEVE_CEILING = 10**9
 
 _CACHE_MAGIC = b"SPSV"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 # magic, version, span, covered integers, CRC-32 of the packed payload
 _CACHE_HEADER = struct.Struct("<4sIQQI")
 _CACHE_FILENAME = "sieve.spsv"
@@ -36,8 +36,9 @@ _CACHE_FILENAME = "sieve.spsv"
 class SieveSegment:
     """One sieved block [base, base + span).
 
-    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 is prime
-    iff unmarked.  base is always a multiple of the span (hence even).
+    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
+    sieved limit is prime iff unmarked.  base is always a multiple of the
+    span (hence even).
     """
 
     base: int
@@ -65,26 +66,23 @@ def _simple_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_segments(limit: int, span: int = SEGMENT_SPAN) -> Iterator[SieveSegment]:
-    """Yield aligned segments covering [0, limit] in ascending order."""
-    base_primes = _simple_primes(math.isqrt(limit))[1:]  # odd base primes only
-    base = 0
-    while base <= limit:
-        marks = np.zeros(span // 2, dtype=bool)
+    """Yield aligned segments covering [0, limit] in ascending order; the
+    marks are exact up to limit."""
+    half = span // 2
+    ps = _simple_primes(math.isqrt(limit))[1:]  # odd base primes only
+    squares = ps * ps
+    # odd index of each base prime's next multiple, from the current base
+    offsets = (squares - 1) // 2
+    for base in range(0, limit + 1, span):
+        marks = np.zeros(half, dtype=bool)
         if base == 0:
             marks[0] = True  # 1 is not prime
-        hi = base + span  # exclusive
-        for p in base_primes:
-            p = int(p)
-            start = p * p
-            if start >= hi:
-                break
-            if start < base:
-                start = base + (-base % p)
-                if start % 2 == 0:
-                    start += p
-            marks[(start - base) // 2 :: p] = True
+        k = int(np.searchsorted(squares, base + span))  # primes with p*p in the segment or below
+        for o, p in zip(offsets[:k].tolist(), ps[:k].tolist()):
+            marks[o::p] = True
+        offsets -= half
+        offsets[:k] %= ps[:k]
         yield SieveSegment(base, span, marks)
-        base += span
 
 
 class PrimeStream:
@@ -103,16 +101,17 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
 
     def segments(self) -> Iterator[SieveSegment]:
-        if self._cache_dir is not None:
-            cached = _read_cache(self._cache_dir, self.limit)
-            if cached is not None:
-                yield from cached
-                return
-            segs = list(_sieve_segments(self.limit))
-            _write_cache(self._cache_dir, segs)
-            yield from segs
+        if self._cache_dir is None:
+            yield from _sieve_segments(self.limit)
             return
-        yield from _sieve_segments(self.limit)
+        packed = _read_cache(self._cache_dir, self.limit)
+        if packed is None:
+            # exact to the end of the last segment, which a larger limit may read
+            end = (self.limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
+            packed = SEGMENT_SPAN, _write_cache(self._cache_dir, _sieve_segments(end - 1))
+        span, chunks = packed
+        for i, chunk in enumerate(chunks):
+            yield SieveSegment(i * span, span, np.unpackbits(chunk).view(bool))
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
@@ -230,8 +229,9 @@ def _cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, _CACHE_FILENAME)
 
 
-def _read_cache(cache_dir: str, limit: int) -> list[SieveSegment] | None:
-    """Load cached segments covering [0, limit], or None if unusable.
+def _read_cache(cache_dir: str, limit: int) -> tuple[int, np.ndarray] | None:
+    """The span and the packed segments (one row each) covering [0, limit],
+    or None if the file is missing, too short or unusable.
 
     A bad header, payload size or payload CRC-32 marks the file corrupt: it
     is ignored with a warning and the range is recomputed.
@@ -247,12 +247,12 @@ def _read_cache(cache_dir: str, limit: int) -> list[SieveSegment] | None:
                 raise ValueError("bad magic")
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported version {version}")
-            if span <= 0 or span % 2 or covered % span:
+            if span <= 0 or span % 16 or covered % span:  # a segment must be whole bytes
                 raise ValueError("inconsistent header geometry")
             if covered < limit + 1:
                 return None  # cache too short; caller re-sieves and rewrites
             body = fh.read()
-            if len(body) != (covered // 2 + 7) // 8:
+            if len(body) != covered // 16:
                 raise ValueError("wrong payload size")
             if zlib.crc32(body) != crc:
                 raise ValueError("payload checksum mismatch")
@@ -261,27 +261,24 @@ def _read_cache(cache_dir: str, limit: int) -> list[SieveSegment] | None:
     except (OSError, ValueError) as exc:
         print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
         return None
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=covered // 2)
-    marks = bits.astype(bool)
-    segments = []
-    for base in range(0, limit + 1, int(span)):
-        segments.append(SieveSegment(base, int(span), marks[base // 2 : (base + span) // 2]))
-    return segments
+    rows = limit // span + 1
+    return span, np.frombuffer(body, dtype=np.uint8, count=rows * span // 16).reshape(rows, span // 16)
 
 
-def _write_cache(cache_dir: str, segments: list[SieveSegment]) -> None:
-    """Persist segments atomically; failures are warnings, never errors."""
-    if not segments:
-        return
-    span = segments[0].span
-    covered = segments[-1].base + span
+def _write_cache(cache_dir: str, segments: Iterator[SieveSegment]) -> list[np.ndarray]:
+    """Pack the segments, persist them atomically and return the packed
+    rows; a failed write is a warning, never an error."""
+    chunks, crc = [], 0
+    for seg in segments:
+        chunks.append(np.packbits(seg.odd_composite))
+        crc = zlib.crc32(chunks[-1], crc)
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
         with os.fdopen(fd, "wb") as fh:
-            packed = np.packbits(np.concatenate([s.odd_composite for s in segments]))
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, span, covered, zlib.crc32(packed)))
-            fh.write(packed.tobytes())
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, seg.span, len(chunks) * seg.span, crc))
+            fh.writelines(chunks)
         os.replace(tmp, _cache_path(cache_dir))
     except OSError as exc:
         print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
+    return chunks

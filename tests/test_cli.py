@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 
 import pytest
 
-from stringprime import bound_report, count_avoiders, relative_density, solve_log_n
+from stringprime import bound_report, cli, count_avoiders, relative_density, solve_log_n
 from stringprime.cli import main
 
 
@@ -148,6 +149,37 @@ def test_coupon_l1_domain_error(capsys):
     code, _, err = run_cli(capsys, "coupon", "--l", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("l", ["302", "303", "306", "309", "5000"])
+def test_coupon_past_double_range_is_a_domain_error(capsys, l):
+    code, out, err = run_cli(capsys, "coupon", "--l", l, "--format", "csv")
+    if l == "302":  # the last length whose predicted N is a finite double
+        assert code == 0
+        assert all(math.isfinite(float(v)) for v in parse_csv(out)[1][0][1:])
+        return
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"bound --l {l}" in err
+
+
+def test_solve_logn_past_double_range_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "solve-logn", "--b", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bound --l" in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_coupon", broken)
+    code, out, err = run_cli(capsys, "coupon", "--l", "2")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and "boom" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_density_rows(capsys):

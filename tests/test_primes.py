@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -9,10 +11,13 @@ import pytest
 from stringprime.errors import DomainError, ResourceLimitError
 from stringprime.primes import (
     _CACHE_HEADER,
+    _CACHE_MAGIC,
+    _CACHE_VERSION,
     SEGMENT_SPAN,
     SIEVE_CEILING,
     PrimeStream,
     _sieve_segments,
+    _simple_primes,
     is_prime,
     prime_count,
     prime_mask,
@@ -123,6 +128,19 @@ def test_segment_marks_match_primality():
         n = 2 * j + 1
         assert (not seg.odd_composite[j]) == flags[n] or n == 1
     assert seg.odd_composite[0]  # 1 is composite-marked
+
+
+@pytest.mark.parametrize("span", [8, 10, 24])
+@pytest.mark.parametrize("limit", [2, 9, 10, 48, 49, 50, 120, 121, 169, 1_000, 4_097])
+def test_segment_marks_exact_at_square_boundaries(limit, span):
+    # odd p^2 is 1 mod 8 and, for p >= 5, 1 mod 24: with these spans base
+    # primes start exactly at a segment's first or last odd resident
+    segs = list(_sieve_segments(limit, span=span))
+    assert [s.base for s in segs] == list(range(0, limit + 1, span))
+    odds = (limit + 1) // 2  # odd residents <= limit
+    composite = np.ones(odds, dtype=bool)
+    composite[(_simple_primes(limit)[1:] - 1) // 2] = False
+    assert np.array_equal(np.concatenate([s.odd_composite for s in segs])[:odds], composite)
 
 
 def test_prime_count_examples():
@@ -260,6 +278,67 @@ def test_cache_payload_damage_is_detected(tmp_path, capsys):
     # the damaged file was rewritten and now reads back cleanly
     assert prime_count(10**6, cache_dir=tmp_path) == 78_498
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("limit", [1_000, SEGMENT_SPAN + 1, 3 * SEGMENT_SPAN + 7])
+def test_cache_file_matches_packed_oracle(tmp_path, limit):
+    # the file is whole before the first segment is yielded
+    next(PrimeStream(limit, cache_dir=tmp_path).segments())
+    covered = (limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
+    payload = np.packbits(~plain_sieve(covered - 1)[1::2]).tobytes()
+    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, covered, zlib.crc32(payload))
+    assert (tmp_path / "sieve.spsv").read_bytes() == header + payload
+
+
+def test_cache_marks_exact_past_the_writing_limit(tmp_path):
+    # a cache written for 1000 covers [0, SEGMENT_SPAN); a later, larger
+    # limit inside that segment reads it back
+    assert prime_count(1_000, cache_dir=tmp_path) == 168
+    assert prime_count(10**6, cache_dir=tmp_path) == 78_498
+
+
+@pytest.mark.parametrize("limit", [2, SEGMENT_SPAN - 1, SEGMENT_SPAN, 2 * SEGMENT_SPAN + 1])
+def test_cache_hit_reads_only_needed_segments(tmp_path, limit):
+    list(PrimeStream(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path).segments())
+    before = (tmp_path / "sieve.spsv").read_bytes()
+    segs = list(PrimeStream(limit, cache_dir=tmp_path).segments())
+    assert len(segs) == -(-(limit + 1) // SEGMENT_SPAN)
+    assert all(s.odd_composite.dtype == bool and s.odd_composite.shape == (SEGMENT_SPAN // 2,) for s in segs)
+    assert (tmp_path / "sieve.spsv").read_bytes() == before  # a hit, not a rewrite
+    flags = plain_sieve(len(segs) * SEGMENT_SPAN - 1)
+    assert np.array_equal(np.concatenate([s.odd_composite for s in segs]), ~flags[1::2])
+
+
+def test_cached_grow_holds_one_bit_per_odd(tmp_path):
+    limit = 3 * 10**7
+    tracemalloc.start()
+    try:
+        assert prime_count(limit, cache_dir=tmp_path) == 1_857_859
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit // 4
+
+
+@pytest.mark.parametrize("field,value", [("version", _CACHE_VERSION - 1), ("span", 8)])
+def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
+    # an older version, or a span whose segments are not whole bytes
+    header = {"version": _CACHE_VERSION, "span": 16, "covered": 2 * SEGMENT_SPAN}
+    header[field] = value
+    payload = bytes(header["covered"] // 16)
+    (tmp_path / "sieve.spsv").write_bytes(
+        _CACHE_HEADER.pack(_CACHE_MAGIC, header["version"], header["span"], header["covered"], zlib.crc32(payload))
+        + payload
+    )
+    assert prime_count(10_000, cache_dir=tmp_path) == 1_229
+    assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    assert list(primes_up_to(10_000, cache_dir=blocker)) == trial_division_primes(10_000)
+    assert "could not write sieve cache" in capsys.readouterr().err
 
 
 def test_cache_absence_never_changes_results(tmp_path):
