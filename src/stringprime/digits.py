@@ -23,7 +23,7 @@ class DigitString:
         if len(self.digits) == 0:
             raise InvalidInputError("digit string must be non-empty")
         for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d <= 9:
+            if type(d) is not int or not 0 <= d <= 9:  # bool is an int subclass
                 raise InvalidInputError(f"not a decimal digit: {d!r}")
 
     @property
@@ -32,7 +32,7 @@ class DigitString:
 
     @property
     def text(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        return "".join(map(str, self.digits))
 
     def __str__(self) -> str:
         return self.text

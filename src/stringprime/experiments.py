@@ -8,7 +8,9 @@ deterministic for a given limit.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,53 @@ import numpy as np
 from .digits import DigitString, as_digit_string, parse_digit_string
 from .errors import DomainError
 from .primes import is_prime, primes_up_to
+
+
+class CoverageMap(Mapping):
+    """Read-only map from each length-l string with a nonzero leading digit
+    to the least prime containing it, in ascending string order.
+
+    It holds one read-only int array indexed by the string's value less
+    10^(l-1).  A lookup builds nothing; iteration builds the key
+    DigitStrings one at a time, and values are plain ints.
+    """
+
+    __slots__ = ("_length", "_first")
+
+    def __init__(self, length: int, first: np.ndarray):
+        self._length = length
+        self._first = first.view()
+        self._first.flags.writeable = False
+
+    def __getitem__(self, key: DigitString) -> int:
+        if isinstance(key, DigitString) and len(key) == self._length and key.digits[0]:
+            return int(self._first[int(key.text) - 10 ** (self._length - 1)])
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[DigitString]:
+        return map(DigitString, itertools.product(range(1, 10), *[range(10)] * (self._length - 1)))
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def __repr__(self) -> str:
+        return f"CoverageMap(length={self._length}, strings={len(self)})"
+
+    def items(self) -> ItemsView[DigitString, int]:
+        return _CoverageItems(self)
+
+    def values(self) -> ValuesView[int]:
+        return _CoverageValues(self)
+
+
+class _CoverageItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._first.tolist())
+
+
+class _CoverageValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._first.tolist())
 
 
 @dataclass(frozen=True)
@@ -27,15 +76,15 @@ class CoverageResult:
     universe_size: int
     m: int
     last_string: DigitString
-    covered_at: dict[DigitString, int]
+    covered_at: CoverageMap
 
     def write_csv(self, path: str | os.PathLike) -> None:
         """Persist the coverage map as `string,first_containing_prime` rows."""
+        lo = 10 ** (self.length - 1)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["string", "first_containing_prime"])
-            for s in sorted(self.covered_at, key=lambda d: d.digits):
-                writer.writerow([s.text, self.covered_at[s]])
+            writer.writerows(zip(range(lo, 10 * lo), self.covered_at.values()))
 
 
 @dataclass(frozen=True)
@@ -110,7 +159,7 @@ def coverage_threshold(
                 universe_size=9 * lo,
                 m=int(first.max()),
                 last_string=parse_digit_string(str(vals[at.argmax()])),
-                covered_at={parse_digit_string(str(u)): p for u, p in enumerate(first[lo:].tolist(), lo)},
+                covered_at=CoverageMap(length, first[lo:]),
             )
     return None
 
@@ -200,9 +249,17 @@ def _windows(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _containing(primes: np.ndarray, text: str) -> np.ndarray:
-    """Mask of the primes whose decimal rendering contains `text`."""
-    wins, inside = _windows(primes, len(text))
-    return (inside & (wins == int(text[:10]))).any(axis=1)  # a longer text has no windows
+    """Mask of the primes whose decimal rendering contains `text`: the low
+    len(text) digits of each prime, shifted right one digit at a time, counted
+    only while the window lies inside the prime.  Primes are below 10^9, so
+    int32 holds them; a text longer than every prime makes no shift."""
+    length = len(text)
+    hit = np.zeros(primes.size, dtype=bool)
+    p = primes.astype(np.int32)
+    for _ in range(len(str(primes.max(initial=0))) - length + 1):
+        hit |= (p >= 10 ** (length - 1)) & (p % 10**length == int(text))
+        p //= 10
+    return hit
 
 
 def verify_ap(result: APResult, pattern: DigitString | str) -> bool:

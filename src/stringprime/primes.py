@@ -7,6 +7,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -275,10 +276,15 @@ def _write_cache(cache_dir: str, segments: Iterator[SieveSegment]) -> list[np.nd
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, seg.span, len(chunks) * seg.span, crc))
-            fh.writelines(chunks)
-        os.replace(tmp, _cache_path(cache_dir))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, seg.span, len(chunks) * seg.span, crc))
+                fh.writelines(chunks)
+            os.replace(tmp, _cache_path(cache_dir))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)  # no partial file is left behind
+            raise
     except OSError as exc:
         print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
     return chunks

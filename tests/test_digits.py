@@ -48,6 +48,20 @@ def test_digitstring_validates():
         DigitString((3, 10))
 
 
+@pytest.mark.parametrize("digits", [(True, False), (1, False), (1.0,), ("1",)])
+def test_digitstring_rejects_non_int_digits(digits):
+    # bool is an int subclass: (True, False) would equal (1, 0) yet render "TrueFalse"
+    with pytest.raises(InvalidInputError):
+        DigitString(digits)
+
+
+def test_digitstring_text_agrees_with_containment():
+    s = DigitString((1, 0))
+    assert s.text == str(s) == "10"
+    assert s == parse_digit_string("10")
+    assert contains(10, s) and contains(2103, s) and not contains(1, s)
+
+
 @pytest.mark.parametrize("n,expected", [(512, [5, 1, 2]), (7, [7]), (1000, [1, 0, 0, 0]), (0, [0])])
 def test_decimal_digits(n, expected):
     assert decimal_digits(n) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import types
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from stringprime import experiments
+from stringprime.cli import main
 from stringprime.counting import count_avoiders
-from stringprime.digits import contains, parse_digit_string
+from stringprime.digits import DigitString, contains, parse_digit_string
 from stringprime.errors import DomainError
 from stringprime.experiments import (
     coverage_threshold,
@@ -71,6 +73,11 @@ def test_coverage_matches_scalar_reference(length, limit):
     m, last, first = expected
     assert (result.m, result.last_string.text) == (m, last)
     assert {s.text: p for s, p in result.covered_at.items()} == first
+    cov, oracle = result.covered_at, {parse_digit_string(w): p for w, p in first.items()}
+    assert len(cov) == len(oracle) == 9 * 10 ** (length - 1)
+    assert cov == oracle and oracle == cov
+    assert all(s in cov and cov[s] == p for s, p in oracle.items())
+    assert list(cov) == sorted(oracle, key=lambda s: s.digits)
 
 
 def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch):
@@ -98,6 +105,52 @@ def test_coverage_l6():
     # one row past the paper's Table 1
     result = coverage_threshold(6, 10**9)
     assert (result.m, result.last_string.text) == (106_658_081, "665808")
+
+
+# zero-led, too short, too long, then keys that are not DigitStrings
+@pytest.mark.parametrize("key", [*map(parse_digit_string, ["07", "7", "123"]), "12", 12, (1, 2)])
+def test_coverage_map_rejects_foreign_keys(key):
+    cov = coverage_threshold(2, 10_000).covered_at
+    assert cov[parse_digit_string("12")] == 127
+    with pytest.raises(KeyError):
+        cov[key]
+    assert key not in cov and cov.get(key) is None
+
+
+def test_coverage_map_is_read_only_with_a_short_repr():
+    result = coverage_threshold(2, 10_000)
+    key = parse_digit_string("10")
+    with pytest.raises(TypeError):
+        result.covered_at[key] = 1
+    assert result.covered_at[key] == 101
+    assert repr(result.covered_at) == "CoverageMap(length=2, strings=90)"
+    assert "0x" not in repr(result)
+
+
+def test_coverage_builds_no_digit_strings_but_the_last(monkeypatch):
+    built = []
+    post_init = DigitString.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DigitString, "__post_init__", counting)
+    result = coverage_threshold(5, 10**7)
+    assert built == [result.last_string]
+    assert result.covered_at[parse_digit_string("10000")] == 100_003
+    assert len(built) == 2  # the lookup key above; the lookup itself builds none
+
+
+def test_cli_coverage_map_matches_scalar_reference(tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    assert main(["coverage", "--l", "4", "--limit", str(10**6), "--save-map", str(path)]) == 0
+    capsys.readouterr()
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["string", "first_containing_prime"])
+    writer.writerows(sorted(scalar_coverage(4, 10**6)[2].items()))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_least_prime_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import tracemalloc
 import zlib
@@ -339,6 +340,16 @@ def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
     blocker.write_text("")
     assert list(primes_up_to(10_000, cache_dir=blocker)) == trial_division_primes(10_000)
     assert "could not write sieve cache" in capsys.readouterr().err
+
+
+def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert prime_count(100_000, cache_dir=tmp_path) == 9_592
+    assert "could not write sieve cache" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_absence_never_changes_results(tmp_path):
