@@ -126,7 +126,10 @@ def _cmd_coverage(args) -> int:
         print(f"coverage incomplete for l = {args.l} within limit {args.limit}", file=sys.stderr)
         return EXIT_NOT_FOUND
     if args.save_map:
-        result.write_csv(args.save_map)
+        try:
+            result.write_csv(args.save_map)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write coverage map {args.save_map}: {exc.strerror or exc}") from exc
         print(f"coverage map written to {args.save_map}", file=sys.stderr)
     _emit(
         args,
@@ -177,9 +180,12 @@ def _cmd_table1(args) -> int:
 
 def _parse_exponents(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        exponents = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise InvalidInputError(f"bad exponent list {text!r}") from exc
+    if not exponents:
+        raise InvalidInputError(f"empty exponent list {text!r}")
+    return exponents
 
 
 def run_seed_checks() -> int:

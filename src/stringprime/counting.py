@@ -57,9 +57,6 @@ class PatternAutomaton:
         # reach accept; extended lazily as larger bounds are counted.
         self._survivors: tuple[list[int], ...] = ([1] * l + [0],)
 
-    def step(self, state: int, digit: int) -> int:
-        return self.transition[state][digit]
-
     def matches(self, n: int) -> bool:
         """Feed the decimal digits of n; True iff accept is reached."""
         state = 0

@@ -27,10 +27,25 @@ SEGMENT_SPAN = 1 << 20
 SIEVE_CEILING = 10**9
 
 _CACHE_MAGIC = b"SPSV"
-_CACHE_VERSION = 3
-# magic, version, span, covered integers, CRC-32 of the packed payload
+_CACHE_VERSION = 4
+# magic, version, span, covered integers, CRC-32 of the table that follows:
+# one little-endian CRC-32 per packed segment row, then the rows themselves
 _CACHE_HEADER = struct.Struct("<4sIQQI")
 _CACHE_FILENAME = "sieve.spsv"
+
+# The odd multiples of these primes repeat every 3*5*7*11*13 odd indices, so
+# marks start as a copy of one tile and only primes >= 17 are sieved.
+_TILE_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _small_prime_tile() -> np.ndarray:
+    tile = np.zeros(math.prod(_TILE_PRIMES), dtype=bool)
+    for p in _TILE_PRIMES:
+        tile[p // 2 :: p] = True  # odd index p // 2 holds p
+    return tile
+
+
+_TILE = _small_prime_tile()
 
 
 @dataclass(frozen=True)
@@ -66,24 +81,37 @@ def _simple_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _sieve_segments(limit: int, span: int = SEGMENT_SPAN) -> Iterator[SieveSegment]:
-    """Yield aligned segments covering [0, limit] in ascending order; the
-    marks are exact up to limit."""
+def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Iterator[SieveSegment]:
+    """Yield aligned segments covering [start, limit] in ascending order; the
+    marks are exact up to limit.  start must be a multiple of span.
+
+    Each pass over the base primes marks two segments at once (a lone last
+    segment is marked alone) and yields them as two views.
+    """
     half = span // 2
-    ps = _simple_primes(math.isqrt(limit))[1:]  # odd base primes only
+    ps = _simple_primes(math.isqrt(limit))[len(_TILE_PRIMES) + 1 :]  # the tile covers 2..13
     squares = ps * ps
     # odd index of each base prime's next multiple, from the current base
-    offsets = (squares - 1) // 2
-    for base in range(0, limit + 1, span):
-        marks = np.zeros(half, dtype=bool)
+    offsets = (squares - 1) // 2 - start // 2
+    offsets = np.where(offsets < 0, offsets % ps, offsets)
+    for base in range(start, limit + 1, 2 * span):
+        n = span if base + span <= limit else half  # odd indices marked in this pass
+        lo = base // 2
+        r = lo % _TILE.size
+        marks = np.tile(_TILE, (r + n) // _TILE.size + 1)[r : r + n]
+        for p in _TILE_PRIMES:  # the tile marks the primes themselves
+            if 0 <= p // 2 - lo < n:
+                marks[p // 2 - lo] = False
         if base == 0:
             marks[0] = True  # 1 is not prime
-        k = int(np.searchsorted(squares, base + span))  # primes with p*p in the segment or below
+        k = int(np.searchsorted(squares, base + 2 * n))  # primes with p*p in the pass or below
         for o, p in zip(offsets[:k].tolist(), ps[:k].tolist()):
             marks[o::p] = True
-        offsets -= half
+        offsets -= n
         offsets[:k] %= ps[:k]
-        yield SieveSegment(base, span, marks)
+        yield SieveSegment(base, span, marks[:half])
+        if n == span:
+            yield SieveSegment(base + span, span, marks[half:])
 
 
 class PrimeStream:
@@ -105,14 +133,15 @@ class PrimeStream:
         if self._cache_dir is None:
             yield from _sieve_segments(self.limit)
             return
-        packed = _read_cache(self._cache_dir, self.limit)
-        if packed is None:
-            # exact to the end of the last segment, which a larger limit may read
-            end = (self.limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
-            packed = SEGMENT_SPAN, _write_cache(self._cache_dir, _sieve_segments(end - 1))
-        span, chunks = packed
-        for i, chunk in enumerate(chunks):
-            yield SieveSegment(i * span, span, np.unpackbits(chunk).view(bool))
+        rows = _read_cache(self._cache_dir, self.limit)
+        need = self.limit // SEGMENT_SPAN + 1
+        if len(rows) < need:
+            # sieve only the missing segments, each exact to its end, which a
+            # larger limit may read
+            more = _sieve_segments(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
+            rows = _write_cache(self._cache_dir, rows, more)
+        for i in range(need):
+            yield SieveSegment(i * SEGMENT_SPAN, SEGMENT_SPAN, np.unpackbits(rows[i]).view(bool))
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
@@ -230,14 +259,17 @@ def _cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, _CACHE_FILENAME)
 
 
-def _read_cache(cache_dir: str, limit: int) -> tuple[int, np.ndarray] | None:
-    """The span and the packed segments (one row each) covering [0, limit],
-    or None if the file is missing, too short or unusable.
+def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
+    """The checked packed rows, one per segment, that the file holds towards
+    [0, limit]: the ceil((limit + 1) / span) rows a request needs, or every
+    row when the file is shorter.  Empty if the file is missing or unusable.
 
-    A bad header, payload size or payload CRC-32 marks the file corrupt: it
-    is ignored with a warning and the range is recomputed.
+    A bad header, file size, table CRC-32 or CRC-32 of a row read marks the
+    file corrupt: it is ignored with a warning and the range is recomputed.
+    Rows a request does not need are never read.
     """
     path = _cache_path(cache_dir)
+    width = SEGMENT_SPAN // 16  # bytes per packed row
     try:
         with open(path, "rb") as fh:
             header = fh.read(_CACHE_HEADER.size)
@@ -248,38 +280,43 @@ def _read_cache(cache_dir: str, limit: int) -> tuple[int, np.ndarray] | None:
                 raise ValueError("bad magic")
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported version {version}")
-            if span <= 0 or span % 16 or covered % span:  # a segment must be whole bytes
+            if span != SEGMENT_SPAN or covered % span:
                 raise ValueError("inconsistent header geometry")
-            if covered < limit + 1:
-                return None  # cache too short; caller re-sieves and rewrites
-            body = fh.read()
-            if len(body) != covered // 16:
-                raise ValueError("wrong payload size")
-            if zlib.crc32(body) != crc:
-                raise ValueError("payload checksum mismatch")
+            total = covered // span
+            if os.fstat(fh.fileno()).st_size != _CACHE_HEADER.size + total * (4 + width):
+                raise ValueError("wrong file size")
+            table = fh.read(4 * total)
+            if zlib.crc32(table) != crc:
+                raise ValueError("segment table checksum mismatch")
+            count = min(total, limit // span + 1)
+            # a short read fails the reshape
+            rows = list(np.frombuffer(fh.read(count * width), dtype=np.uint8).reshape(count, width))
+            for i, (row, (row_crc,)) in enumerate(zip(rows, struct.iter_unpack("<I", table))):
+                if zlib.crc32(row) != row_crc:
+                    raise ValueError(f"segment {i} checksum mismatch")
     except FileNotFoundError:
-        return None
+        return []
     except (OSError, ValueError) as exc:
         print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
-        return None
-    rows = limit // span + 1
-    return span, np.frombuffer(body, dtype=np.uint8, count=rows * span // 16).reshape(rows, span // 16)
+        return []
+    return rows
 
 
-def _write_cache(cache_dir: str, segments: Iterator[SieveSegment]) -> list[np.ndarray]:
-    """Pack the segments, persist them atomically and return the packed
-    rows; a failed write is a warning, never an error."""
-    chunks, crc = [], 0
-    for seg in segments:
-        chunks.append(np.packbits(seg.odd_composite))
-        crc = zlib.crc32(chunks[-1], crc)
+def _write_cache(cache_dir: str, rows: list[np.ndarray], segments: Iterator[SieveSegment]) -> list[np.ndarray]:
+    """Pack the segments after the given rows, persist them all atomically
+    and return the packed rows; a failed write is a warning, never an error."""
+    rows = rows + [np.packbits(seg.odd_composite) for seg in segments]
+    table = struct.pack(f"<{len(rows)}I", *(zlib.crc32(row) for row in rows))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, seg.span, len(chunks) * seg.span, crc))
-                fh.writelines(chunks)
+                fh.write(_CACHE_HEADER.pack(
+                    _CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, len(rows) * SEGMENT_SPAN, zlib.crc32(table)
+                ))
+                fh.write(table)
+                fh.writelines(rows)
             os.replace(tmp, _cache_path(cache_dir))
         except BaseException:
             with contextlib.suppress(OSError):
@@ -287,4 +324,4 @@ def _write_cache(cache_dir: str, segments: Iterator[SieveSegment]) -> list[np.nd
             raise
     except OSError as exc:
         print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
-    return chunks
+    return rows

@@ -89,6 +89,17 @@ def test_coverage_and_save_map(capsys, tmp_path):
     assert "coverage map written" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir/cover.csv", "."])
+def test_coverage_save_map_unwritable(capsys, tmp_path, where):
+    # a missing parent directory, and a path that is a directory
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, "coverage", "--l", "2", "--limit", "10000", "--save-map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write coverage map {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_coverage_not_found(capsys):
     code, _, err = run_cli(capsys, "coverage", "--l", "3", "--limit", "1000")
     assert code == 1
@@ -194,6 +205,14 @@ def test_density_rows(capsys):
 def test_density_bad_exponents(capsys):
     code, _, err = run_cli(capsys, "density", "--pattern", "9", "--exponents", "2,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("exponents", ["", ",,"])
+def test_density_empty_exponents(capsys, exponents):
+    code, out, err = run_cli(capsys, "density", "--pattern", "9", "--exponents", exponents)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: empty exponent list {exponents!r}\n"
 
 
 def test_bad_pattern_exit_code(capsys):

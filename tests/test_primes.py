@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from stringprime import primes
 from stringprime.errors import DomainError, ResourceLimitError
 from stringprime.primes import (
     _CACHE_HEADER,
@@ -120,6 +121,23 @@ def test_segments_aligned():
         assert seg.span == SEGMENT_SPAN
         assert seg.span & (seg.span - 1) == 0  # power of two
         assert seg.odd_composite.shape == (SEGMENT_SPAN // 2,)
+
+
+@pytest.mark.parametrize(
+    "span,count",
+    [(8, 131), (8, 132), (10, 105), (10, 106), (24, 45), (24, 46), (SEGMENT_SPAN, 5), (SEGMENT_SPAN, 6)],
+)
+def test_sieve_from_a_later_segment_matches_the_tail(span, count):
+    # odd and even segment counts, so passes pair segments differently; the
+    # small spans reach base primes >= 29 whose squares lie before `start`
+    limit = count * span - 3
+    full = list(_sieve_segments(limit, span=span))
+    assert len(full) == count
+    for k in range(count):
+        tail = list(_sieve_segments(limit, span=span, start=k * span))
+        assert [s.base for s in tail] == [s.base for s in full[k:]]
+        for got, want in zip(tail, full[k:]):
+            assert np.array_equal(got.odd_composite, want.odd_composite)
 
 
 def test_segment_marks_match_primality():
@@ -281,14 +299,81 @@ def test_cache_payload_damage_is_detected(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def packed_oracle(limit: int) -> bytes:
+    """A version 4 cache file covering [0, limit] in whole segments: the
+    header, one CRC-32 per packed row, then the rows."""
+    covered = (limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
+    payload = np.packbits(~plain_sieve(covered - 1)[1::2]).tobytes()
+    width = SEGMENT_SPAN // 16
+    table = b"".join(
+        zlib.crc32(payload[i : i + width]).to_bytes(4, "little") for i in range(0, len(payload), width)
+    )
+    return _CACHE_HEADER.pack(_CACHE_MAGIC, 4, SEGMENT_SPAN, covered, zlib.crc32(table)) + table + payload
+
+
+def damage(path, offset: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def row_offset(rows: int, i: int) -> int:
+    """File offset of packed row i in a cache of `rows` rows."""
+    return _CACHE_HEADER.size + 4 * rows + i * SEGMENT_SPAN // 16
+
+
 @pytest.mark.parametrize("limit", [1_000, SEGMENT_SPAN + 1, 3 * SEGMENT_SPAN + 7])
 def test_cache_file_matches_packed_oracle(tmp_path, limit):
     # the file is whole before the first segment is yielded
     next(PrimeStream(limit, cache_dir=tmp_path).segments())
-    covered = (limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
-    payload = np.packbits(~plain_sieve(covered - 1)[1::2]).tobytes()
-    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, covered, zlib.crc32(payload))
-    assert (tmp_path / "sieve.spsv").read_bytes() == header + payload
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_cache_grow_sieves_only_the_missing_segments(tmp_path, monkeypatch):
+    assert prime_count(1_000, cache_dir=tmp_path) == 168
+    starts = []
+
+    def spy(limit, span=SEGMENT_SPAN, start=0):
+        starts.append(start)
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    limit = 3 * SEGMENT_SPAN + 7
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    assert starts == [SEGMENT_SPAN]
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_cache_damage_before_a_grow_is_detected(tmp_path, capsys):
+    assert prime_count(2 * SEGMENT_SPAN + 1, cache_dir=tmp_path) == int(plain_sieve(2 * SEGMENT_SPAN + 1).sum())
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(3, 0) + 1_000)
+    limit = 3 * SEGMENT_SPAN + 7
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    assert "corrupt" in capsys.readouterr().err
+    assert path.read_bytes() == packed_oracle(limit)
+
+
+def test_cache_table_damage_is_detected_by_any_hit(tmp_path, capsys):
+    prime_count(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path)
+    damage(tmp_path / "sieve.spsv", _CACHE_HEADER.size + 4 * 3)  # the last row's CRC-32
+    assert prime_count(1_000, cache_dir=tmp_path) == 168
+    assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_damage_in_a_row_not_read_is_silent(tmp_path, capsys):
+    limit = 3 * SEGMENT_SPAN + 7
+    counts = np.cumsum(plain_sieve(limit))
+    assert prime_count(limit, cache_dir=tmp_path) == counts[limit]
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(4, 3) + 5)
+    # a hit below the last row never reads it
+    assert prime_count(3 * SEGMENT_SPAN - 1, cache_dir=tmp_path) == counts[3 * SEGMENT_SPAN - 1]
+    assert capsys.readouterr().err == ""
+    # a request that reads it notices
+    assert prime_count(3 * SEGMENT_SPAN, cache_dir=tmp_path) == counts[3 * SEGMENT_SPAN]
+    assert "corrupt" in capsys.readouterr().err
+    assert path.read_bytes() == packed_oracle(limit)
 
 
 def test_cache_marks_exact_past_the_writing_limit(tmp_path):
@@ -321,9 +406,9 @@ def test_cached_grow_holds_one_bit_per_odd(tmp_path):
     assert peak < limit // 4
 
 
-@pytest.mark.parametrize("field,value", [("version", _CACHE_VERSION - 1), ("span", 8)])
+@pytest.mark.parametrize("field,value", [("version", 2), ("version", _CACHE_VERSION - 1), ("span", 8)])
 def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
-    # an older version, or a span whose segments are not whole bytes
+    # older versions, or a span whose segments are not whole bytes
     header = {"version": _CACHE_VERSION, "span": 16, "covered": 2 * SEGMENT_SPAN}
     header[field] = value
     payload = bytes(header["covered"] // 16)
@@ -333,6 +418,17 @@ def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
     )
     assert prime_count(10_000, cache_dir=tmp_path) == 1_229
     assert "corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_prime_count_1e9_uncached():
+    assert prime_count(10**9) == 50_847_534
+
+
+@pytest.mark.slow
+def test_prime_count_1e9_cached_grow(tmp_path):
+    assert prime_count(3 * 10**8, cache_dir=tmp_path) == 16_252_325
+    assert prime_count(10**9, cache_dir=tmp_path) == 50_847_534
 
 
 def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
