@@ -12,12 +12,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 _LN10 = math.log(10.0)
 # Past this length 10^l arithmetic leaves comfortable double range; reports
 # switch to natural-log scale.
 PLAIN_SCALE_MAX_L = 18
+# Every report builds r = 10^l exactly; past this length that alone takes
+# seconds to minutes.
+REPORT_MAX_L = 10**6
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
@@ -170,10 +173,12 @@ def bound_report(l: int) -> BoundReport:
 
     Lengths above 18 report every real field as a natural log (log_scale
     set); the coupon fields are absent at l = 1 where the heuristic is
-    undefined.
+    undefined.  Lengths above REPORT_MAX_L raise ResourceLimitError.
     """
     if l < 1:
         raise DomainError("l must be >= 1")
+    if l > REPORT_MAX_L:
+        raise ResourceLimitError(f"bound reports need l <= {REPORT_MAX_L}; r = 10^{l} is too large to build")
     r = 10**l
     if l <= PLAIN_SCALE_MAX_L:
         simple = theorem_bound_simple(l)

@@ -1,8 +1,8 @@
 """Exact and bounded counting of pattern-avoiding integers.
 
-The exact count walks a failure-function automaton over the digits of the
-bound (digit DP); the closed forms treat a length-l decimal string as a
-single digit in base r = 10^l and bound the avoiders from above.
+The exact count walks a failure-function automaton forward over the digits
+of the bound (digit DP); the closed forms treat a length-l decimal string
+as a single digit in base r = 10^l and bound the avoiders from above.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ class PatternAutomaton:
     States 0..l where l = pattern length; state s means "the last s digits
     read equal the first s pattern digits (and no full match yet)".  State l
     accepts and absorbs.  transition(s, d) is the length of the longest
-    suffix of pattern[:s] + d that is a prefix of the pattern.
+    suffix of pattern[:s] + d that is a prefix of the pattern.  Both tables
+    are built here and never written afterwards, so an automaton can be
+    shared across threads.
     """
 
     def __init__(self, pattern: DigitString | str):
@@ -53,9 +55,10 @@ class PatternAutomaton:
             table.append(tuple(row))
         table.append(tuple([l] * 10))  # accept absorbs
         self.transition: tuple[tuple[int, ...], ...] = tuple(table)
-        # _survivors[j][s]: digit strings of length j from state s that never
-        # reach accept; extended lazily as larger bounds are counted.
-        self._survivors: tuple[list[int], ...] = ([1] * l + [0],)
+        # moves[s]: (t, number of digits taking s to t) for each t != accept
+        self.moves: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((t, row.count(t)) for t in dict.fromkeys(row) if t != l) for row in table[:l]
+        )
 
     def matches(self, n: int) -> bool:
         """Feed the decimal digits of n; True iff accept is reached."""
@@ -69,24 +72,11 @@ class PatternAutomaton:
 
     def survivor_counts(self, length: int) -> list[int]:
         """Counts, per start state, of length-`length` digit strings that
-        avoid the pattern."""
-        table = self._survivors
-        if len(table) <= length:
-            # Extend a private copy and publish it with one assignment, so a
-            # concurrent reader or extender never sees a half-grown table.
-            rows = list(table)
-            accept = self.accept_state
-            while len(rows) <= length:
-                prev = rows[-1]
-                rows.append(
-                    [
-                        sum(prev[t] for t in row if t != accept)
-                        for row in self.transition[:accept]
-                    ]
-                    + [0]
-                )
-            table = self._survivors = tuple(rows)
-        return table[length]
+        avoid the pattern; computed afresh from `moves` on each call."""
+        row = [1] * self.accept_state
+        for _ in range(length):
+            row = [sum(row[t] * ways for t, ways in moves) for moves in self.moves]
+        return row + [0]
 
 
 def build_automaton(pattern: DigitString | str) -> PatternAutomaton:
@@ -97,40 +87,44 @@ def build_automaton(pattern: DigitString | str) -> PatternAutomaton:
 def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int:
     """Exact count of n in [1, x] whose decimal rendering avoids the pattern.
 
-    Leading zeros never feed the automaton: each candidate starts at state 0
-    on its first (nonzero) digit, so block padding cannot fake a match.
+    One forward pass over the digits of x.  After each digit, below[s]
+    counts the avoiders whose digits so far lie below x's prefix and leave
+    the automaton in state s, and `tight` is the state of x's prefix itself.
+    A number shorter than x joins at a later digit through its nonzero first
+    digit, so leading zeros never feed the automaton and block padding
+    cannot fake a match.
     """
     if x < 1:
         raise DomainError("count_avoiders needs x >= 1")
-    digits = [int(c) for c in str(x)]
+    digits = [ord(c) - 48 for c in str(x)]
     if len(digits) > MAX_COUNT_DIGITS:
         raise DomainError(f"x must have at most {MAX_COUNT_DIGITS} digits")
     auto = pattern if isinstance(pattern, PatternAutomaton) else PatternAutomaton(pattern)
     trans = auto.transition
     accept = auto.accept_state
-    span = len(digits)
-    # survivors[j][s] for j = 0..span-1, materialized before the walk
-    surv = [auto.survivor_counts(j) for j in range(span)]
+    first = trans[0][1:]  # a number's first digit is 1..9
+    starts = [(t, first.count(t)) for t in dict.fromkeys(first) if t != accept]
 
-    total = 0
-    for length in range(1, span):  # numbers with fewer digits than x
-        tail = surv[length - 1]
-        row0 = trans[0]
-        total += sum(tail[row0[d]] for d in range(1, 10) if row0[d] != accept)
-    state = 0
-    for i, xd in enumerate(digits):  # numbers with span digits, tight prefix
-        tail = surv[span - 1 - i]
-        row = trans[state]
-        for d in range(1 if i == 0 else 0, xd):
-            t = row[d]
+    below = [0] * accept
+    for t in trans[0][1 : digits[0]]:
+        if t != accept:
+            below[t] += 1
+    tight = trans[0][digits[0]]
+    for xd in digits[1:]:
+        step = [0] * accept
+        for count, moves in zip(below, auto.moves):
+            if count:
+                for t, ways in moves:
+                    step[t] += count * ways
+        for t, ways in starts:
+            step[t] += ways
+        row = trans[tight]  # the accept row keeps tight at accept and adds nothing
+        for t in row[:xd]:
             if t != accept:
-                total += tail[t]
-        state = row[xd]
-        if state == accept:
-            break
-    else:
-        total += 1  # x itself avoids the pattern
-    return total
+                step[t] += 1
+        tight = row[xd]
+        below = step
+    return sum(below) + (tight != accept)
 
 
 @dataclass(frozen=True)

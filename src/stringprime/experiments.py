@@ -147,7 +147,7 @@ def coverage_threshold(
     lo = 10 ** (length - 1)
     first = np.zeros(10 * lo, dtype=np.int32)  # first[v]: least prime containing v
     for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
-        wins = _windows(primes, length)[0]
+        wins = _windows(primes, length)
         # uncovered nonzero-led windows (these lie inside their prime) in
         # scan order: ascending prime, then left to right
         rows, cols = np.nonzero((wins >= lo) & (first[wins] == 0))
@@ -238,14 +238,14 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     ]
 
 
-def _windows(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _windows(primes: np.ndarray, length: int) -> np.ndarray:
     """Row i: the windows (p // 10**k) % 10**length of primes[i] for k
-    descending (leftmost first), and a mask of those inside p's rendering.
-    Primes are below 10^9, so int32 holds them; with no windows (length >
-    digits) the modulus goes unused and is kept small."""
+    descending (leftmost first).  Primes are below 10^9, so int32 holds
+    them; with no windows (length > digits) the modulus goes unused and is
+    kept small."""
     digits = len(str(primes.max(initial=0)))
     shifted = primes.astype(np.int32)[:, None] // 10 ** np.arange(digits - length, -1, -1, dtype=np.int32)
-    return shifted % 10 ** min(length, digits), shifted >= 10 ** (length - 1)
+    return shifted % 10 ** min(length, digits)
 
 
 def _containing(primes: np.ndarray, text: str) -> np.ndarray:

@@ -264,8 +264,9 @@ def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
     [0, limit]: the ceil((limit + 1) / span) rows a request needs, or every
     row when the file is shorter.  Empty if the file is missing or unusable.
 
-    A bad header, file size, table CRC-32 or CRC-32 of a row read marks the
-    file corrupt: it is ignored with a warning and the range is recomputed.
+    A bad header, file size or table CRC-32 marks the whole file corrupt: it
+    is ignored with a warning and the range is recomputed.  A row read with a
+    bad CRC-32 is warned about too, and the checked rows before it are kept.
     Rows a request does not need are never read.
     """
     path = _cache_path(cache_dir)
@@ -291,14 +292,15 @@ def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
             count = min(total, limit // span + 1)
             # a short read fails the reshape
             rows = list(np.frombuffer(fh.read(count * width), dtype=np.uint8).reshape(count, width))
-            for i, (row, (row_crc,)) in enumerate(zip(rows, struct.iter_unpack("<I", table))):
-                if zlib.crc32(row) != row_crc:
-                    raise ValueError(f"segment {i} checksum mismatch")
     except FileNotFoundError:
         return []
     except (OSError, ValueError) as exc:
         print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
         return []
+    for i, (row, (row_crc,)) in enumerate(zip(rows, struct.iter_unpack("<I", table))):
+        if zlib.crc32(row) != row_crc:
+            print(f"stringprime: corrupt sieve cache {path}: segment {i} checksum mismatch", file=sys.stderr)
+            return rows[:i]
     return rows
 
 

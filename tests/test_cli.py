@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from stringprime import bound_report, cli, count_avoiders, relative_density, solve_log_n
+from stringprime.bounds import REPORT_MAX_L
 from stringprime.cli import main
 
 
@@ -146,6 +147,15 @@ def test_bound_log_scale_renders_r_as_power(capsys, fmt):
     code, out, _ = run_cli(capsys, "bound", "--l", "5000", "--format", fmt)
     assert code == 0
     assert "10^5000" in out.replace(",", " ").replace("|", " ").split()
+
+
+def test_bound_above_the_length_ceiling_is_a_resource_limit(capsys):
+    code, out, err = run_cli(capsys, "bound", "--l", str(REPORT_MAX_L + 1))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("resource limit:")
+    # the ceiling itself still reports
+    assert bound_report(REPORT_MAX_L).log_scale
 
 
 def test_coupon_row(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -237,37 +238,83 @@ def test_avoider_share_eventually_decays():
             assert counts[e + 1] * (e + 1) < 10 * counts[e] * e
 
 
-def test_survivor_table_extension_is_thread_safe():
-    # Thread A pauses inside its first table extension while thread B grows
-    # the shared table to six rows; A then finishes its own extension.  An
-    # in-place append by A would land as a seventh row and shift every later
-    # row by one, so A's 38-digit count and all later counts would be wrong.
+def survivor_table_count(auto: PatternAutomaton, x: int) -> int:
+    """Scalar reference: the backward digit DP over a survivor table.
+
+    surv[j][s] counts the length-j digit strings that never reach accept
+    from state s.  The count sums them over the first digit of each shorter
+    number, then over each digit below x's along its tight prefix.
+    """
+    trans, accept = auto.transition, auto.accept_state
+    digits = [int(c) for c in str(x)]
+    span = len(digits)
+    surv = [[1] * accept + [0]]
+    while len(surv) < span:
+        prev = surv[-1]
+        surv.append([sum(prev[t] for t in row if t != accept) for row in trans[:accept]] + [0])
+    total = 0
+    for length in range(1, span):
+        total += sum(surv[length - 1][t] for t in trans[0][1:] if t != accept)
+    state = 0
+    for i, xd in enumerate(digits):
+        row = trans[state]
+        total += sum(surv[span - 1 - i][t] for t in row[1 if i == 0 else 0 : xd] if t != accept)
+        state = row[xd]
+        if state == accept:
+            return total
+    return total + 1
+
+
+@pytest.mark.parametrize("text", ["9", "12", "0", "00", "05", "010", "11", "121", "1231", "12121212", "00100"])
+def test_count_matches_survivor_table_reference(text):
+    rng = random.Random(text)
+    auto = build_automaton(text)
+    xs = [10**38 - 1, 10**37, 10 ** len(text)] + [rng.randint(1, 10 ** rng.randint(1, 38) - 1) for _ in range(300)]
+    for x in xs:
+        assert count_avoiders(auto, x) == survivor_table_count(auto, x), x
+
+
+@pytest.mark.parametrize("text", ["9", "0", "11", "010", "121"])
+def test_survivor_counts_match_brute_force(text):
+    # feeding text[:s] from state 0 reaches state s, so a string w avoids
+    # the pattern from state s iff text[:s] + w does not contain it
+    auto = build_automaton(text)
+    for j in range(6):
+        words = [f"{n:0{j}d}" if j else "" for n in range(10**j)]
+        brute = [sum(text not in text[:s] + w for w in words) for s in range(len(text))]
+        assert auto.survivor_counts(j) == brute + [0]
+
+
+def test_shared_automaton_is_never_written():
+    auto = PatternAutomaton("1231")
+    before = dict(vars(auto))
+    for digits in range(1, 39):
+        count_avoiders(auto, 10**digits - 1)
+        auto.survivor_counts(digits)
+    assert vars(auto) == before
+    assert all(vars(auto)[name] is value for name, value in before.items())
+
+
+def test_shared_automaton_counts_agree_across_threads():
     x = 10**37 + 12_345
     auto = PatternAutomaton("1231")
-    paused = threading.Event()
-    resume = threading.Event()
-    results = {}
+    barrier = threading.Barrier(4)
+    results = []
 
-    class PausingRows(tuple):
-        def __getitem__(self, key):
-            if isinstance(key, slice) and threading.current_thread().name == "A" and not resume.is_set():
-                paused.set()
-                resume.wait(timeout=10)
-            return super().__getitem__(key)
+    def work():
+        barrier.wait(timeout=10)
+        for _ in range(3):
+            results.append(count_avoiders(auto, x))
 
-    auto.transition = PausingRows(auto.transition)
-    a = threading.Thread(target=lambda: results.setdefault("A", count_avoiders(auto, x)), name="A")
-    a.start()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        assert paused.wait(timeout=10)
-        b = threading.Thread(target=lambda: results.setdefault("B", count_avoiders(auto, 10**5)), name="B")
-        b.start()
-        b.join(timeout=10)
-        assert not b.is_alive()
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
     finally:
-        resume.set()
-        a.join(timeout=10)
-    assert not a.is_alive()
-    fresh = PatternAutomaton("1231")
-    assert results == {"A": count_avoiders(fresh, x), "B": count_avoiders(fresh, 10**5)}
-    assert count_avoiders(auto, x) == count_avoiders(fresh, x)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [count_avoiders(PatternAutomaton("1231"), x)] * 12

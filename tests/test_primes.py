@@ -354,6 +354,24 @@ def test_cache_damage_before_a_grow_is_detected(tmp_path, capsys):
     assert path.read_bytes() == packed_oracle(limit)
 
 
+def test_cache_row_damage_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
+    limit = 3 * SEGMENT_SPAN + 7
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(4, 2) + 1_000)
+    starts = []
+
+    def spy(limit, span=SEGMENT_SPAN, start=0):
+        starts.append(start)
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    assert "corrupt" in capsys.readouterr().err
+    assert starts == [2 * SEGMENT_SPAN]
+    assert path.read_bytes() == packed_oracle(limit)
+
+
 def test_cache_table_damage_is_detected_by_any_hit(tmp_path, capsys):
     prime_count(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path)
     damage(tmp_path / "sieve.spsv", _CACHE_HEADER.size + 4 * 3)  # the last row's CRC-32
