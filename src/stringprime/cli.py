@@ -17,12 +17,11 @@ from .bounds import bound_report, coupon_prediction, asymptotic_prediction, solv
 from .counting import count_avoiders
 from .digits import parse_digit_string
 from .errors import DomainError, InvalidInputError, ResourceLimitError
-from .experiments import (
-    coverage_threshold,
-    density_table,
-    find_prime_ap,
-    least_prime_containing,
-)
+
+# The sieving commands import `.experiments` (and with it numpy) when they
+# run, so the other commands start without numpy.  The import reads the
+# module attribute at each call, so a function replaced on the module (by a
+# test or perfbench's tracer) is the one the command calls.
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -111,6 +110,8 @@ def _cmd_count_avoiders(args) -> int:
 
 
 def _cmd_least_prime(args) -> int:
+    from .experiments import least_prime_containing
+
     pattern = parse_digit_string(args.pattern)
     p = least_prime_containing(pattern, args.limit, cache_dir=args.cache_dir)
     if p is None:
@@ -121,6 +122,8 @@ def _cmd_least_prime(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from .experiments import coverage_threshold
+
     result = coverage_threshold(args.l, args.limit, cache_dir=args.cache_dir, threads=args.threads)
     if result is None:
         print(f"coverage incomplete for l = {args.l} within limit {args.limit}", file=sys.stderr)
@@ -140,6 +143,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_ap(args) -> int:
+    from .experiments import find_prime_ap
+
     pattern = parse_digit_string(args.pattern)
     result = find_prime_ap(pattern, args.k, args.limit, cache_dir=args.cache_dir)
     if result is None:
@@ -154,6 +159,8 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .experiments import density_table
+
     pattern = parse_digit_string(args.pattern)
     exponents = _parse_exponents(args.exponents)
     reports = density_table(pattern, exponents, cache_dir=args.cache_dir, threads=args.threads)
@@ -166,6 +173,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .experiments import coverage_threshold
+
     if not 1 <= args.max_l <= 5:
         raise DomainError("table1 covers lengths 1..5")
     rows = []

@@ -46,8 +46,9 @@ def run(print_lines: bool = False) -> int:
     trial = _trial_division_primes(10_000)
     check("sieve matches trial division to 10^4", list(primes_up_to(10_000)) == trial)
     check("pi(10^4) exact", prime_count(10_000) == len(trial))
+    trial_set = set(trial)
     check("is_prime matches trial division to 10^4",
-          all(is_prime(n) == (n in set(trial)) for n in range(10_000 + 1)))
+          all(is_prime(n) == (n in trial_set) for n in range(10_000 + 1)))
 
     mask = prime_mask(10_000)
     counts = mask.cumsum()

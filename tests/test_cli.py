@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import subprocess
 import sys
@@ -203,6 +204,15 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_sieving_command_calls_the_experiments_attribute(capsys, monkeypatch):
+    from stringprime import experiments
+
+    monkeypatch.setattr(experiments, "least_prime_containing", lambda pattern, limit, cache_dir=None: 1)
+    code, out, _ = run_cli(capsys, "least-prime", "--pattern", "7", "--limit", "100", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "7,100,1"
+
+
 def test_density_rows(capsys):
     code, out, _ = run_cli(capsys, "density", "--pattern", "9", "--exponents", "2,3", "--format", "csv")
     assert code == 0
@@ -336,3 +346,31 @@ def test_csv_repeatable_bytes():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import stringprime
+from stringprime import cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in (["bound", "--l", "6"], ["coupon", "--l", "5"], ["solve-logn", "--b", "57"],
+             ["count-avoiders", "--pattern", "12", "--x", "1000"],
+             ["least-prime", "--pattern", "7", "--limit", "100"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[argv[0]] = [code, "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_sieving_commands_import_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "bound": [0, False],
+        "coupon": [0, False],
+        "solve-logn": [0, False],
+        "count-avoiders": [0, False],
+        "least-prime": [0, True],
+    }
