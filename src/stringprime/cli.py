@@ -3,7 +3,8 @@
 Every operation is reachable as a subcommand; tables render as human,
 csv, or markdown text with deterministic formatting ('.' decimal point,
 no locale).  Exit codes: 0 success, 1 not found within the limit,
-2 invalid arguments or domain errors, 3 resource limits, 4 internal errors.
+2 invalid arguments or domain errors, 3 resource limits, 4 internal errors,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_NOT_FOUND = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
 
 # Coverage limits known to exceed the least prime bound for each length.
 _TABLE1_LIMITS = {1: 10**3, 2: 10**4, 3: 10**5, 4: 10**6, 5: 10**7}
@@ -219,7 +221,7 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=d(6), metavar="P",
                         help="significant digits for reals (default 6)")
     common.add_argument("--threads", type=int, default=d(1), metavar="N",
-                        help="cap on worker parallelism")
+                        help="must be >= 1; never changes output (large sieves use every available CPU)")
     common.add_argument("--cache-dir", default=d(os.environ.get("STRINGPRIME_CACHE")), metavar="PATH",
                         help="directory for the sieve segment cache "
                              "(default $STRINGPRIME_CACHE; unset = in-memory)")
@@ -309,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a defect, not a user error: one line, no traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -276,7 +276,8 @@ def verify_ap(result: APResult, pattern: DigitString | str) -> bool:
 
 
 def _check_threads(threads: int) -> None:
-    """`threads` caps worker parallelism; the scans run on one worker at
-    desk scale, so any positive cap yields identical output."""
+    """`threads` must be at least 1 and never changes output: the scans run
+    in this process, and a large sieve uses one forked worker per CPU the
+    process may run on whatever its value (see PrimeStream)."""
     if threads < 1:
         raise DomainError("threads must be >= 1")

@@ -7,7 +7,9 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -32,6 +34,14 @@ _CACHE_VERSION = 4
 # one little-endian CRC-32 per packed segment row, then the rows themselves
 _CACHE_HEADER = struct.Struct("<4sIQQI")
 _CACHE_FILENAME = "sieve.spsv"
+
+# A range is sieved here for its first _POOL_BREAK_EVEN segments, then by
+# forked workers a chunk of _POOL_CHUNK_SEGMENTS segments at a time (_sieve).
+# On 2 CPUs, starting and stopping two workers costs 12-15 ms, about what
+# they save on 64 segments; 8-segment chunks were as fast as 16 or 32 on
+# pi(10^9).
+_POOL_BREAK_EVEN = 32
+_POOL_CHUNK_SEGMENTS = 8
 
 # The odd multiples of these primes repeat every 3*5*7*11*13 odd indices, so
 # marks start as a copy of one tile and only primes >= 17 are sieved.
@@ -114,12 +124,95 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
             yield SieveSegment(base + span, span, marks[half:])
 
 
+def _sieve(limit: int, start: int = 0) -> Iterator[SieveSegment | np.ndarray]:
+    """The aligned segments covering [start, limit] in ascending order, exact
+    up to limit: SieveSegments sieved in this process, then, past the first
+    _POOL_BREAK_EVEN segments and when _pool_workers allows, each remaining
+    segment as its packed marks (np.packbits of odd_composite) from a worker.
+    start must be a multiple of the span."""
+    split = start + _POOL_BREAK_EVEN * SEGMENT_SPAN
+    if limit >= split:
+        yield from _sieve_segments(split - 1, start=start)
+        workers = _pool_workers()
+        if workers > 1:
+            yield from _pool_rows(limit, split, workers)
+            return
+        start = split
+    yield from _sieve_segments(limit, start=start)
+
+
+def _pool_workers() -> int:
+    """Worker processes to sieve with: one per CPU this process may run on,
+    or 1 (sieve here) when only one is, when "fork" is not a start method, or
+    when another thread is alive, since forking a threaded process can
+    deadlock."""
+    import multiprocessing
+    import threading
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return cpus
+
+
+def _pool_rows(limit: int, start: int, workers: int) -> Iterator[np.ndarray]:
+    """The packed rows of the segments covering [start, limit], in order,
+    sieved by `workers` forked processes a chunk at a time, with at most two
+    chunks per worker in flight.  Every worker has exited when the generator
+    finishes, raises or is closed."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    step = _POOL_CHUNK_SEGMENTS * SEGMENT_SPAN
+    # chunks end on multiples of step; the first and the last may be shorter
+    edges = [start, *range(start - start % step + step, limit + 1, step), limit + 1]
+    # forked workers start with numpy imported and with this module as it
+    # is, so a pool starts in milliseconds
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_ignore_sigint)
+    try:
+        pending = collections.deque()
+        for lo, hi in zip(edges, edges[1:]):
+            pending.append(pool.submit(_sieve_chunk, hi - 1, lo))
+            if len(pending) > 2 * workers:
+                yield from pending.popleft().result()
+        for future in pending:
+            yield from future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _ignore_sigint() -> None:
+    """Worker initializer: Ctrl-C is the parent's to handle."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _sieve_chunk(limit: int, start: int) -> list[np.ndarray]:
+    """A worker task: the packed rows of the segments covering [start, limit]."""
+    return [np.packbits(seg.odd_composite) for seg in _sieve_segments(limit, start=start)]
+
+
+def _as_segment(index: int, seg: SieveSegment | np.ndarray) -> SieveSegment:
+    """seg itself, or the segment `index` whose packed marks it holds."""
+    if isinstance(seg, SieveSegment):
+        return seg
+    return SieveSegment(index * SEGMENT_SPAN, SEGMENT_SPAN, np.unpackbits(seg).view(bool))
+
+
 class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
     When `cache_dir` is given, sieved odd-composite marks are read from /
     written to an on-disk cache; the cache is an optimization only and a
     missing or corrupt file never changes the yielded primes.
+
+    A range that runs past its first _POOL_BREAK_EVEN segments sieves the
+    rest in forked worker processes, one per CPU the process may run on
+    (restrict them with `taskset`), unless only one is, "fork" is not a
+    start method or another thread is alive.  The primes are the same
+    either way, and every worker has exited when the stream ends, raises or
+    is closed; a stream that stops within those first segments starts none.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -131,17 +224,19 @@ class PrimeStream:
 
     def segments(self) -> Iterator[SieveSegment]:
         if self._cache_dir is None:
-            yield from _sieve_segments(self.limit)
+            # map keeps no reference to the segment last yielded, so its
+            # marks can be freed before the next pass is sieved
+            yield from map(_as_segment, itertools.count(), _sieve(self.limit))
             return
         rows = _read_cache(self._cache_dir, self.limit)
         need = self.limit // SEGMENT_SPAN + 1
         if len(rows) < need:
             # sieve only the missing segments, each exact to its end, which a
             # larger limit may read
-            more = _sieve_segments(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
-            rows = _write_cache(self._cache_dir, rows, more)
-        for i in range(need):
-            yield SieveSegment(i * SEGMENT_SPAN, SEGMENT_SPAN, np.unpackbits(rows[i]).view(bool))
+            more = _sieve(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
+            rows += [np.packbits(seg.odd_composite) if isinstance(seg, SieveSegment) else seg for seg in more]
+            _write_cache(self._cache_dir, rows)
+        yield from map(_as_segment, range(need), rows)
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
@@ -304,10 +399,9 @@ def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
     return rows
 
 
-def _write_cache(cache_dir: str, rows: list[np.ndarray], segments: Iterator[SieveSegment]) -> list[np.ndarray]:
-    """Pack the segments after the given rows, persist them all atomically
-    and return the packed rows; a failed write is a warning, never an error."""
-    rows = rows + [np.packbits(seg.odd_composite) for seg in segments]
+def _write_cache(cache_dir: str, rows: list[np.ndarray]) -> None:
+    """Persist the packed rows atomically; a failed write is a warning, never
+    an error."""
     table = struct.pack(f"<{len(rows)}I", *(zlib.crc32(row) for row in rows))
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -326,4 +420,3 @@ def _write_cache(cache_dir: str, rows: list[np.ndarray], segments: Iterator[Siev
             raise
     except OSError as exc:
         print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
-    return rows

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +207,31 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_coupon", interrupted)
+    assert run_cli(capsys, "coupon", "--l", "2") == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_sigint_during_a_pooled_sieve_is_clean():
+    # a 10^9 density scan runs long past its first pool start; the child
+    # leads a new process group, which its sieve workers join
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringprime", "density", "--pattern", "7", "--exponents", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    time.sleep(0.5)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert out == "" and err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no worker outlived it
+
+
 def test_sieving_command_calls_the_experiments_attribute(capsys, monkeypatch):
     from stringprime import experiments
 
@@ -359,6 +387,7 @@ for argv in (["bound", "--l", "6"], ["coupon", "--l", "5"], ["solve-logn", "--b"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     loaded[argv[0]] = [code, "numpy" in sys.modules]
+loaded["pool"] = sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -373,4 +402,5 @@ def test_only_sieving_commands_import_numpy():
         "solve-logn": [0, False],
         "count-avoiders": [0, False],
         "least-prime": [0, True],
+        "pool": [],
     }

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import random
+import signal
+import threading
 import tracemalloc
 import zlib
 
@@ -476,3 +480,168 @@ def test_prime_stream_exposes_limit():
     stream = PrimeStream(50)
     assert stream.limit == 50
     assert list(stream) == trial_division_primes(50)
+
+
+# --- sieving in forked workers -----------------------------------------------
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every ProcessPoolExecutor built, in order."""
+    built = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return built
+
+
+@pytest.fixture
+def pool(monkeypatch, executors):
+    """Two CPUs, one segment sieved here before the workers start, and tasks
+    of three segments, so small limits reach the pool and its chunk edges."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool forks its workers")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(primes, "_POOL_BREAK_EVEN", 1)
+    monkeypatch.setattr(primes, "_POOL_CHUNK_SEGMENTS", 3)
+    assert primes._pool_workers() == 2
+    return executors
+
+
+@pytest.mark.parametrize(
+    "limit, chunk",
+    [
+        (6 * SEGMENT_SPAN + 7, 3),
+        (6 * SEGMENT_SPAN - 1, 3),
+        (6 * SEGMENT_SPAN, 3),
+        (4 * SEGMENT_SPAN + 1, 3),
+        (SEGMENT_SPAN + 1, 3),
+        (9 * SEGMENT_SPAN + 5, 1),
+    ],
+    ids=["mid-chunk", "chunk-end", "chunk-start", "short-first-chunk", "one-pool-segment", "more-chunks-than-in-flight"],
+)
+def test_pool_arrays_match_the_serial_oracle(pool, monkeypatch, limit, chunk):
+    monkeypatch.setattr(primes, "_POOL_CHUNK_SEGMENTS", chunk)
+    arrays = list(PrimeStream(limit).arrays())
+    assert len(pool) == 1
+    assert len(arrays) == limit // SEGMENT_SPAN + 1
+    assert np.array_equal(np.concatenate(arrays), np.flatnonzero(plain_sieve(limit)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("limit", [6 * SEGMENT_SPAN + 7, 6 * SEGMENT_SPAN - 1])
+def test_pool_cache_file_matches_packed_oracle(pool, tmp_path, limit):
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    assert len(pool) == 1
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_pool_grow_from_mid_chunk(pool, tmp_path, monkeypatch):
+    assert prime_count(2 * SEGMENT_SPAN + 1, cache_dir=tmp_path) == int(plain_sieve(2 * SEGMENT_SPAN + 1).sum())
+    starts = []
+
+    def spy(limit, span=SEGMENT_SPAN, start=0):
+        starts.append(start)
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    # rows 0..2 are cached; row 3 is sieved here, rows 4..8 by the workers
+    # in chunks [4, 6) and [6, 9)
+    limit = 8 * SEGMENT_SPAN + 3
+    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
+    assert starts == [3 * SEGMENT_SPAN]
+    assert len(pool) == 2
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_pool_leaves_no_worker_after_an_early_stop(pool):
+    for primes_ in PrimeStream(9 * SEGMENT_SPAN).arrays():
+        if primes_[-1] > 2 * SEGMENT_SPAN:
+            break
+    assert len(pool) == 1
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1  # the pool's own threads are gone too
+
+
+def test_pool_worker_error_reaches_the_caller(pool, monkeypatch, capsys):
+    from stringprime import cli
+
+    def failing(limit, span=SEGMENT_SPAN, start=0):
+        if start >= SEGMENT_SPAN:  # only the workers' chunks fail
+            raise MemoryError("no room for the marks")
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_sieve_segments", failing)
+    with pytest.raises(MemoryError, match="no room"):
+        prime_count(6 * SEGMENT_SPAN)
+    assert multiprocessing.active_children() == []
+    assert cli.main(["density", "--pattern", "7", "--exponents", "7"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: MemoryError(") and err.count("\n") == 1
+    assert len(pool) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_ignore_sigint(pool, monkeypatch):
+    # Ctrl-C reaches the whole process group; only the parent acts on it
+    def checked(limit, span=SEGMENT_SPAN, start=0):
+        if start >= SEGMENT_SPAN and signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+            raise AssertionError("a worker would take SIGINT")
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_sieve_segments", checked)
+    assert prime_count(4 * SEGMENT_SPAN) == int(plain_sieve(4 * SEGMENT_SPAN).sum())
+    assert len(pool) == 1
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return lambda: None
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    return lambda: None
+
+
+def _live_thread(monkeypatch):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+
+    def stop():
+        done.set()
+        thread.join(5)
+        assert not thread.is_alive()
+
+    return stop
+
+
+@pytest.mark.parametrize("condition", [_one_cpu, _no_fork, _live_thread])
+def test_pool_falls_back_to_sieving_here(pool, monkeypatch, condition):
+    stop = condition(monkeypatch)
+    try:
+        assert primes._pool_workers() == 1
+        limit = 6 * SEGMENT_SPAN + 7
+        assert np.array_equal(np.concatenate(list(PrimeStream(limit).arrays())), np.flatnonzero(plain_sieve(limit)))
+    finally:
+        stop()
+    assert pool == []
+
+
+def test_no_pool_below_the_break_even(executors, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    consulted = []
+    monkeypatch.setattr(primes, "_pool_workers", lambda: consulted.append(1) or 2)
+    limit = primes._POOL_BREAK_EVEN * SEGMENT_SPAN - 1
+    assert prime_count(limit) == int(plain_sieve(limit).sum())
+    assert consulted == [] and executors == []
+    # an early stop in a range past it starts no worker either
+    for primes_ in PrimeStream(SIEVE_CEILING).arrays():
+        assert primes_[-1] == 1_048_573
+        break
+    assert consulted == [] and executors == []
