@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitString, as_digit_string, parse_digit_string
-from .errors import DomainError
-from .primes import is_prime, primes_up_to
+from .errors import DomainError, ResourceLimitError
+from .primes import SIEVE_CEILING, is_prime, primes_up_to
 
 
 class CoverageMap(Mapping):
@@ -220,14 +221,17 @@ def density_table(
         return []
     if min(exponents) < 0:
         raise DomainError("exponents must be non-negative")
+    top = max(exponents)
+    if top > math.log10(SIEVE_CEILING):  # checked before 10**top is built
+        raise ResourceLimitError(f"sieve limit 10^{top} exceeds configured ceiling {SIEVE_CEILING}")
     bounds = [10**e for e in sorted(set(exponents))]
     return _density_scan(as_digit_string(pattern), bounds, cache_dir)
 
 
 def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[DensityReport]:
+    """bounds ascend with no repeats."""
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
-    bounds = sorted(set(bounds))
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
     for primes in primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir).arrays():
         pi_n += np.searchsorted(primes, bounds, side="right")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import itertools
 import math
 import os
 import struct
@@ -62,21 +61,29 @@ _TILE = _small_prime_tile()
 class SieveSegment:
     """One sieved block [base, base + span).
 
-    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
-    sieved limit is prime iff unmarked.  base is always a multiple of the
-    span (hence even).
+    `packed` is np.packbits of the block's odd-composite marks, the form the
+    sieve yields, the workers return and the cache stores.  `odd_composite`
+    unpacks it: `odd_composite[j]` marks base + 2j + 1; an odd resident > 2
+    up to the sieved limit is prime iff unmarked.  base is always a multiple
+    of the span (hence even).
     """
 
     base: int
     span: int
-    odd_composite: np.ndarray
+    packed: np.ndarray
+
+    @property
+    def odd_composite(self) -> np.ndarray:
+        return np.unpackbits(self.packed, count=self.span // 2).view(bool)
 
 
 def _check_limit(limit: int) -> None:
     if limit > SIEVE_CEILING:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured ceiling {SIEVE_CEILING}"
-        )
+        # str() refuses ints longer than sys.get_int_max_str_digits() (4300
+        # by default, never below 640), so a limit past 2048 bits (617
+        # digits) is named by its size
+        shown = limit if limit.bit_length() <= 2048 else f"of {limit.bit_length()} bits"
+        raise ResourceLimitError(f"sieve limit {shown} exceeds configured ceiling {SIEVE_CEILING}")
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -96,7 +103,7 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
     marks are exact up to limit.  start must be a multiple of span.
 
     Each pass over the base primes marks two segments at once (a lone last
-    segment is marked alone) and yields them as two views.
+    segment is marked alone) and yields each half packed.
     """
     half = span // 2
     ps = _simple_primes(math.isqrt(limit))[len(_TILE_PRIMES) + 1 :]  # the tile covers 2..13
@@ -119,23 +126,22 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
             marks[o::p] = True
         offsets -= n
         offsets[:k] %= ps[:k]
-        yield SieveSegment(base, span, marks[:half])
+        yield SieveSegment(base, span, np.packbits(marks[:half]))
         if n == span:
-            yield SieveSegment(base + span, span, marks[half:])
+            yield SieveSegment(base + span, span, np.packbits(marks[half:]))
 
 
-def _sieve(limit: int, start: int = 0) -> Iterator[SieveSegment | np.ndarray]:
+def _sieve(limit: int, start: int = 0) -> Iterator[SieveSegment]:
     """The aligned segments covering [start, limit] in ascending order, exact
-    up to limit: SieveSegments sieved in this process, then, past the first
-    _POOL_BREAK_EVEN segments and when _pool_workers allows, each remaining
-    segment as its packed marks (np.packbits of odd_composite) from a worker.
-    start must be a multiple of the span."""
+    up to limit: sieved in this process, then, past the first
+    _POOL_BREAK_EVEN segments and when _pool_workers allows, by forked
+    workers.  start must be a multiple of the span."""
     split = start + _POOL_BREAK_EVEN * SEGMENT_SPAN
     if limit >= split:
         yield from _sieve_segments(split - 1, start=start)
         workers = _pool_workers()
         if workers > 1:
-            yield from _pool_rows(limit, split, workers)
+            yield from _pool_segments(limit, split, workers)
             return
         start = split
     yield from _sieve_segments(limit, start=start)
@@ -155,11 +161,11 @@ def _pool_workers() -> int:
     return cpus
 
 
-def _pool_rows(limit: int, start: int, workers: int) -> Iterator[np.ndarray]:
-    """The packed rows of the segments covering [start, limit], in order,
-    sieved by `workers` forked processes a chunk at a time, with at most two
-    chunks per worker in flight.  Every worker has exited when the generator
-    finishes, raises or is closed."""
+def _pool_segments(limit: int, start: int, workers: int) -> Iterator[SieveSegment]:
+    """The segments covering [start, limit], in order, sieved by `workers`
+    forked processes a chunk at a time, with at most two chunks per worker in
+    flight.  Every worker has exited when the generator finishes, raises or
+    is closed."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -188,16 +194,9 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _sieve_chunk(limit: int, start: int) -> list[np.ndarray]:
-    """A worker task: the packed rows of the segments covering [start, limit]."""
-    return [np.packbits(seg.odd_composite) for seg in _sieve_segments(limit, start=start)]
-
-
-def _as_segment(index: int, seg: SieveSegment | np.ndarray) -> SieveSegment:
-    """seg itself, or the segment `index` whose packed marks it holds."""
-    if isinstance(seg, SieveSegment):
-        return seg
-    return SieveSegment(index * SEGMENT_SPAN, SEGMENT_SPAN, np.unpackbits(seg).view(bool))
+def _sieve_chunk(limit: int, start: int) -> list[SieveSegment]:
+    """A worker task: the segments covering [start, limit]."""
+    return list(_sieve_segments(limit, start=start))
 
 
 class PrimeStream:
@@ -224,9 +223,7 @@ class PrimeStream:
 
     def segments(self) -> Iterator[SieveSegment]:
         if self._cache_dir is None:
-            # map keeps no reference to the segment last yielded, so its
-            # marks can be freed before the next pass is sieved
-            yield from map(_as_segment, itertools.count(), _sieve(self.limit))
+            yield from _sieve(self.limit)
             return
         rows = _read_cache(self._cache_dir, self.limit)
         need = self.limit // SEGMENT_SPAN + 1
@@ -234,9 +231,10 @@ class PrimeStream:
             # sieve only the missing segments, each exact to its end, which a
             # larger limit may read
             more = _sieve(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
-            rows += [np.packbits(seg.odd_composite) if isinstance(seg, SieveSegment) else seg for seg in more]
+            rows += [seg.packed for seg in more]
             _write_cache(self._cache_dir, rows)
-        yield from map(_as_segment, range(need), rows)
+        for i, row in enumerate(rows):
+            yield SieveSegment(i * SEGMENT_SPAN, SEGMENT_SPAN, row)
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
@@ -282,13 +280,10 @@ def prime_count(x: int, cache_dir: str | os.PathLike | None = None) -> int:
         return 0
     count = 1  # the prime 2
     for seg in PrimeStream(x, cache_dir=cache_dir).segments():
-        if seg.base + seg.span <= x:
-            count += int(np.count_nonzero(~seg.odd_composite))
-        else:
-            j_max = (x - seg.base - 1) // 2  # last odd index <= x
-            if j_max >= 0:
-                count += int(np.count_nonzero(~seg.odd_composite[: j_max + 1]))
-            break
+        odds = min(seg.span, x + 1 - seg.base) // 2  # odd residents <= x
+        whole, rest = divmod(odds, 8)  # bytes of marks, then bits of the next
+        tail = np.unpackbits(seg.packed[whole : whole + 1], count=rest)
+        count += odds - int(np.bitwise_count(seg.packed[:whole]).sum()) - int(tail.sum())
     return count
 
 

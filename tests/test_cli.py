@@ -232,6 +232,17 @@ def test_sigint_during_a_pooled_sieve_is_clean():
         os.killpg(proc.pid, 0)  # no worker outlived it
 
 
+@pytest.mark.parametrize("exponents", ["10", "5000", "2,10000000"])
+def test_density_past_the_sieve_ceiling_is_a_resource_limit(capsys, exponents):
+    # 10**5000 has more digits than str() renders; 10**10000000 takes seconds
+    # to build
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--pattern", "1", "--exponents", exponents)
+    assert time.perf_counter() - start < 0.5
+    assert code == cli.EXIT_RESOURCE and out == ""
+    assert err.count("\n") == 1 and err.startswith("resource limit:")
+
+
 def test_sieving_command_calls_the_experiments_attribute(capsys, monkeypatch):
     from stringprime import experiments
 

@@ -12,7 +12,7 @@ from stringprime import experiments
 from stringprime.cli import main
 from stringprime.counting import count_avoiders
 from stringprime.digits import DigitString, contains, parse_digit_string
-from stringprime.errors import DomainError
+from stringprime.errors import DomainError, ResourceLimitError
 from stringprime.experiments import (
     coverage_threshold,
     density_table,
@@ -328,6 +328,14 @@ def test_density_table_empty_and_order():
     assert a == b
     with pytest.raises(DomainError):
         density_table("9", [-1])
+
+
+@pytest.mark.parametrize("exponents", [[10], [2, 5000], [10**7]])
+def test_density_table_rejects_a_bound_past_the_ceiling(exponents):
+    # 10**5000 has more digits than str() renders; 10**(10**7) takes seconds
+    # to build, so the exponent is checked first
+    with pytest.raises(ResourceLimitError, match=f"10\\^{max(exponents)} exceeds"):
+        density_table("1", exponents)
 
 
 def test_density_pi_matches_prime_count():

@@ -118,6 +118,14 @@ def test_stream_limit_validation():
         primes_up_to(SIEVE_CEILING + 1)
 
 
+@pytest.mark.parametrize("limit", [SIEVE_CEILING + 1, 10**5000], ids=["ceiling+1", "10^5000"])
+def test_limit_past_the_ceiling_is_a_resource_limit(limit):
+    # str(10**5000) exceeds Python's int-to-str digit limit
+    for call in (prime_count, primes_up_to, prime_mask):
+        with pytest.raises(ResourceLimitError, match="exceeds configured ceiling"):
+            call(limit)
+
+
 def test_segments_aligned():
     segs = list(_sieve_segments(2 * SEGMENT_SPAN))
     for i, seg in enumerate(segs):
@@ -645,3 +653,39 @@ def test_no_pool_below_the_break_even(executors, monkeypatch):
         assert primes_[-1] == 1_048_573
         break
     assert consulted == [] and executors == []
+
+
+# --- prime_count at every bit of a packed byte ---------------------------------
+
+# ends at each bit position of a packed byte (a byte holds 8 odd residents,
+# 16 integers) and at a segment's edges
+EDGE_XS = [2 * SEGMENT_SPAN + r for r in range(18)] + [SEGMENT_SPAN - 1, SEGMENT_SPAN, SEGMENT_SPAN + 1]
+COUNT_PATHS = ["uncached", "cached-grow", "cached-hit", "pooled"]
+
+
+def edge_counts(path, tmp_path, request) -> list[int]:
+    """prime_count at every x of EDGE_XS, by one path through the sieve."""
+    if path == "pooled":
+        request.getfixturevalue("pool")
+    if path in ("uncached", "pooled"):
+        return [prime_count(x) for x in EDGE_XS]
+    if path == "cached-grow":  # each x sieves into a cache of its own
+        return [prime_count(x, cache_dir=tmp_path / str(x)) for x in EDGE_XS]
+    prime_count(max(EDGE_XS), cache_dir=tmp_path)
+    return [prime_count(x, cache_dir=tmp_path) for x in EDGE_XS]
+
+
+@pytest.mark.parametrize("path", COUNT_PATHS)
+def test_prime_count_ends_at_every_bit_of_a_byte(path, tmp_path, request):
+    counts = np.cumsum(plain_sieve(max(EDGE_XS)))
+    assert edge_counts(path, tmp_path, request) == [int(counts[x]) for x in EDGE_XS]
+
+
+def test_prime_count_counts_packed_marks(tmp_path, request, monkeypatch):
+    def unpacked(seg):
+        raise AssertionError("prime_count unpacked a segment")
+
+    monkeypatch.setattr(primes.SieveSegment, "odd_composite", property(unpacked))
+    counts = np.cumsum(plain_sieve(max(EDGE_XS)))
+    for path in COUNT_PATHS:  # "pooled" last: its fixture stays in force
+        assert edge_counts(path, tmp_path / path, request) == [int(counts[x]) for x in EDGE_XS], path
