@@ -33,6 +33,8 @@ EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
 
 # Coverage limits known to exceed the least prime bound for each length.
 _TABLE1_LIMITS = {1: 10**3, 2: 10**4, 3: 10**5, 4: 10**6, 5: 10**7}
+# The largest precision float formatting accepts (a C int).
+_MAX_PRECISION = 2**31 - 1
 
 
 def _real(value: float, precision: int) -> str:
@@ -199,14 +201,6 @@ def _parse_exponents(text: str) -> list[int]:
     return exponents
 
 
-def run_seed_checks() -> int:
-    """Quick self-test of the core invariants; prints one line per check."""
-    from . import selfcheck
-
-    failures = selfcheck.run(print_lines=True)
-    return EXIT_OK if failures == 0 else EXIT_INVALID
-
-
 def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     """Shared flags, usable before or after the subcommand.
 
@@ -292,12 +286,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.precision < 1:
             raise InvalidInputError("precision must be >= 1")
+        if args.precision > _MAX_PRECISION:
+            raise InvalidInputError(f"precision must be <= {_MAX_PRECISION}")
         if args.threads < 1:
             raise InvalidInputError("threads must be >= 1")
         if args.seed_check:
-            code = run_seed_checks()
-            if code != EXIT_OK or not getattr(args, "func", None):
-                return code
+            from . import selfcheck
+
+            if selfcheck.run():
+                return EXIT_INVALID
+            if not getattr(args, "func", None):
+                return EXIT_OK
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)
             return EXIT_INVALID

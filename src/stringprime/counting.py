@@ -8,6 +8,7 @@ as a single digit in base r = 10^l and bound the avoiders from above.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .digits import DigitString, as_digit_string
@@ -94,6 +95,7 @@ def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int
     digit, so leading zeros never feed the automaton and block padding
     cannot fake a match.
     """
+    x = operator.index(x)  # a float's "." would feed the digit walk
     if x < 1:
         raise DomainError("count_avoiders needs x >= 1")
     digits = [ord(c) - 48 for c in str(x)]

@@ -32,16 +32,16 @@ def _longest_suffix_prefix(pattern: tuple[int, ...], fed: tuple[int, ...]) -> in
     return 0
 
 
-def run(print_lines: bool = False) -> int:
-    """Run all checks; return the number of failures."""
+def run() -> int:
+    """Run all checks, printing one PASS/FAIL line each; return the number
+    of failures."""
     failures = 0
 
     def check(name: str, ok: bool) -> None:
         nonlocal failures
         if not ok:
             failures += 1
-        if print_lines:
-            print(f"seed-check {'PASS' if ok else 'FAIL'}: {name}")
+        print(f"seed-check {'PASS' if ok else 'FAIL'}: {name}")
 
     trial = _trial_division_primes(10_000)
     check("sieve matches trial division to 10^4", list(primes_up_to(10_000)) == trial)

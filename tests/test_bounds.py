@@ -33,6 +33,9 @@ def test_simple_bound_domain():
     for bad in (0, -1, PLAIN_SCALE_MAX_L + 1):
         with pytest.raises(DomainError):
             theorem_bound_simple(bad)
+    for call in (theorem_bound_simple_log, bound_report):
+        with pytest.raises(DomainError):
+            call(0)
 
 
 def test_simple_bound_log_form():
@@ -59,8 +62,9 @@ def test_exact_bound_at_crossover():
 
 
 def test_exact_bound_domain_and_log_form():
-    with pytest.raises(DomainError):
-        theorem_bound_exact(2)
+    for call in (theorem_bound_exact, theorem_bound_exact_log):
+        with pytest.raises(DomainError):
+            call(2)
     for r in (3, 10**4, 10**10):
         assert theorem_bound_exact_log(r) == pytest.approx(math.log(theorem_bound_exact(r)), rel=1e-12)
     # beyond double range for r itself
@@ -92,6 +96,8 @@ def test_solve_log_n_domain():
         solve_log_n(math.e)
     with pytest.raises(DomainError):
         solve_log_n(1.0)
+    with pytest.raises(DomainError):
+        solve_log_n_log(1.0)
 
 
 def test_solve_log_n_reference_values():

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import stringprime
 from stringprime import bound_report, cli, count_avoiders, relative_density, solve_log_n
 from stringprime.bounds import REPORT_MAX_L
 from stringprime.cli import main
@@ -311,6 +312,18 @@ def test_precision_flag(capsys):
     assert float(v12) == pytest.approx(solve_log_n(57), rel=1e-11)
 
 
+@pytest.mark.parametrize("precision", ["2147483648", "99999999999999999999"])
+def test_precision_past_the_formatter_limit_is_invalid(capsys, precision):
+    code, out, err = run_cli(capsys, "bound", "--l", "6", "--precision", precision)
+    assert (code, out, err) == (2, "", "error: precision must be <= 2147483647\n")
+
+
+def test_largest_precision_still_renders(capsys):
+    code, out, _ = run_cli(capsys, "solve-logn", "--b", "57", "--format", "csv", "--precision", "2147483647")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == solve_log_n(57)
+
+
 def test_global_flags_before_subcommand(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "table1", "--max-l", "1")
     assert code == 0
@@ -364,6 +377,20 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "least-prime", "--pattern", "9", "--limit", "5000")
     assert code == 0
     assert (tmp_path / "sieve.spsv").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_empty_cache_dir_means_in_memory(tmp_path, how):
+    src = os.path.dirname(os.path.dirname(stringprime.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "stringprime", "least-prime", "--pattern", "9", "--limit", "5000"]
+    if how == "flag":
+        argv += ["--cache-dir", ""]
+    else:
+        env["STRINGPRIME_CACHE"] = ""
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert os.listdir(tmp_path) == []
 
 
 def test_module_entry_point():

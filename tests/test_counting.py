@@ -125,6 +125,18 @@ def test_count_domain():
     assert count_avoiders("9", 10**38 - 1) == 9**38 - 1
 
 
+@pytest.mark.parametrize("x", [99.0, 10.5])
+def test_count_rejects_a_non_integer_bound(x):
+    # str(99.0) would feed "." to the digit walk as digit -2
+    with pytest.raises(TypeError):
+        count_avoiders("9", x)
+
+
+def test_count_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    assert count_avoiders("9", np.int64(99)) == count_avoiders("9", 99) == 80
+
+
 def enumerate_base_r_avoiders(r: int, b: int, d: int) -> int:
     count = 0
     for v in range(r ** (d - 1), r**d):
@@ -181,6 +193,8 @@ def test_base_r_context_validation():
         BaseRContext(r=10, k=0)
     with pytest.raises(DomainError):
         base_r_digit_avoiders(BaseRContext(r=10), 0)
+    with pytest.raises(DomainError):
+        BaseRContext.for_value(0, 10)
 
 
 def test_for_value_digit_count_exact():
@@ -214,6 +228,8 @@ def test_density_bound_large_k_no_overflow():
     assert 0.0 <= tiny < 1e-200
     huge_r = avoider_density_bound(BaseRContext(r=10**18, k=3))
     assert math.isfinite(huge_r)
+    # r(r-1)/(r-2) alone passes double range
+    assert avoider_density_bound(BaseRContext(r=10**400)) == math.inf
 
 
 def test_density_bound_majorizes_exact_density():

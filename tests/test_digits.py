@@ -124,3 +124,7 @@ def test_negative_rejected():
         decimal_digits(-1)
     with pytest.raises(InvalidInputError):
         contains(-5, "5")
+    with pytest.raises(InvalidInputError):
+        windows(-1, 2)
+    with pytest.raises(InvalidInputError):
+        windows(5, 0)

@@ -290,6 +290,11 @@ def test_relative_density_examples():
     assert (rep.containing, rep.pi_n, rep.density) == (0, 1, 0.0)
 
 
+def test_relative_density_domain():
+    with pytest.raises(DomainError):
+        relative_density("9", 0)
+
+
 def test_relative_density_partition_and_bound():
     for text, n in [("9", 10_000), ("12", 5_000), ("00", 20_000)]:
         rep = relative_density(text, n)

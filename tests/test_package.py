@@ -51,6 +51,21 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(stringprime, "no_such_name")
 
 
+def test_bare_import_loads_no_submodule():
+    # the defining submodules still resolve as attributes, on first use
+    probe = ("import sys, stringprime; "
+             "print(sorted(m for m in sys.modules if m.startswith('stringprime.'))); "
+             "print([getattr(stringprime, m).__name__ for m in ('bounds', 'counting', 'digits', 'errors')]); "
+             "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['stringprime.bounds', 'stringprime.counting', 'stringprime.digits', 'stringprime.errors']",
+        "False",
+    ]
+
+
 def test_fresh_package_lists_every_export_and_imports_submodules():
     # A fresh process: in this one, earlier tests have already loaded and
     # bound the sieve-backed names.

@@ -114,6 +114,10 @@ def test_arrays_last_segment_may_be_empty():
 def test_stream_limit_validation():
     with pytest.raises(DomainError):
         primes_up_to(1)
+    with pytest.raises(DomainError):
+        prime_count(0)
+    with pytest.raises(DomainError):
+        prime_mask(-1)
     with pytest.raises(ResourceLimitError):
         primes_up_to(SIEVE_CEILING + 1)
 
@@ -309,6 +313,18 @@ def test_cache_payload_damage_is_detected(tmp_path, capsys):
     # the damaged file was rewritten and now reads back cleanly
     assert prime_count(10**6, cache_dir=tmp_path) == 78_498
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("resize", [lambda data: data + b"\0", lambda data: data[:-1]], ids=["longer", "shorter"])
+def test_cache_of_the_wrong_size_is_rewritten(tmp_path, capsys, resize):
+    limit = SEGMENT_SPAN + 1
+    list(primes_up_to(limit, cache_dir=tmp_path))
+    path = tmp_path / "sieve.spsv"
+    path.write_bytes(resize(path.read_bytes()))
+    got = list(primes_up_to(limit, cache_dir=tmp_path))
+    assert "wrong file size" in capsys.readouterr().err
+    assert got == np.flatnonzero(plain_sieve(limit)).tolist()
+    assert path.read_bytes() == packed_oracle(limit)
 
 
 def packed_oracle(limit: int) -> bytes:
