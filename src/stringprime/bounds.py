@@ -69,68 +69,47 @@ def theorem_bound_exact_log(r: int) -> float:
     if r < 3:
         raise DomainError("base r must be >= 3")
     log_r = math.log(r)
-    # log((r-1)/(r-2)) ~ 1/r falls below double precision long before r - 2
-    # stops converting to float
-    ratio_gap = math.log1p(1.0 / (r - 2)) if r.bit_length() < 1000 else 0.0
+    ratio_gap = math.log1p(1 / (r - 2))
     return log_r + 2.0 * math.log(log_r) + math.log1p((1.0 + ratio_gap) / log_r)
 
 
-_SOLVE_RELATIVE_TOL = 1e-9
-_SOLVE_MAX_ITERATIONS = 200
+# e - math.e: the part of e that the double math.e drops
+_E_TAIL = 1.4456468917292502e-16
+
+
+def _root_excess(excess: float) -> float:
+    """The root u >= 0 of u - log1p(u) = excess >= 0, so that t = 1 + u
+    solves t - log t = 1 + excess; u keeps the digits of a t near 1.  Newton
+    from u = 1 + excess + log1p(excess), right of the root, where the
+    function is convex and increasing, falls monotonically; it stops once the
+    residual is <= 0 or stops falling."""
+    u = 1.0 + excess + math.log1p(excess)
+    previous = math.inf
+    while 0.0 < (residual := u - math.log1p(u) - excess) < previous:
+        u -= residual * (1.0 + u) / u
+        previous = residual
+    return u
 
 
 def solve_log_n(bound: float) -> float:
-    """The unique y > e with y / log y = bound.
-
-    Fixed point y <- bound * log y seeded at bound * log(bound): y/log y is
-    increasing above e, and the seed sits below the root, so the iteration
-    climbs monotonically.  Converges in well under the iteration cap except
-    when bound hugs e, where the contraction rate degenerates; that corner
-    falls back to bisection.
-    """
+    """The unique y > e with y / log y = bound: y = bound * t, where t > 1
+    solves t - log t = log bound.  log bound - 1 is taken as
+    log1p((bound - e) / e), which keeps its digits however close bound is
+    to e."""
     if not math.isfinite(bound) or bound <= math.e:
         raise DomainError("y / log y = B has no solution y > e unless B > e")
-    y = bound * math.log(bound)
-    for _ in range(_SOLVE_MAX_ITERATIONS):
-        if abs(y / math.log(y) - bound) <= _SOLVE_RELATIVE_TOL * bound:
-            break
-        y = bound * math.log(y)
-    else:
-        y = _solve_by_bisection(bound)
+    y = bound * (1.0 + _root_excess(math.log1p((bound - math.e - _E_TAIL) / math.e)))
     if not math.isfinite(y):
         raise DomainError(f"y / log y = {bound:g} has no root in double range; `bound --l L` reports on a log scale")
     return y
 
 
-def _solve_by_bisection(bound: float) -> float:
-    lo = math.e
-    hi = max(10.0, 2.0 * bound * math.log(bound))
-    while hi / math.log(hi) < bound:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid / math.log(mid) < bound:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * math.ulp(hi):
-            break
-    return hi
-
-
 def solve_log_n_log(log_bound: float) -> float:
-    """log of solve_log_n(B) given log B; for bounds beyond double range.
-
-    Solves t - log t = log B by the fixed point t <- log B + log t.
-    """
+    """log of solve_log_n(B) given log B, for bounds beyond double range: the
+    root t > 1 of t - log t = log B."""
     if not math.isfinite(log_bound) or log_bound <= 1.0:
         raise DomainError("log B must exceed 1 (B > e)")
-    t = log_bound + math.log(log_bound)
-    for _ in range(_SOLVE_MAX_ITERATIONS):
-        if abs(t - math.log(t) - log_bound) <= _SOLVE_RELATIVE_TOL * log_bound:
-            return t
-        t = log_bound + math.log(t)
-    raise ArithmeticError(f"fixed point did not converge for log B = {log_bound!r}")
+    return 1.0 + _root_excess(log_bound - 1.0)
 
 
 def coupon_prediction(l: int) -> tuple[float, float]:

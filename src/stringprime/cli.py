@@ -128,7 +128,7 @@ def _cmd_least_prime(args) -> int:
 def _cmd_coverage(args) -> int:
     from .experiments import coverage_threshold
 
-    result = coverage_threshold(args.l, args.limit, cache_dir=args.cache_dir, threads=args.threads)
+    result = coverage_threshold(args.l, args.limit, cache_dir=args.cache_dir)
     if result is None:
         print(f"coverage incomplete for l = {args.l} within limit {args.limit}", file=sys.stderr)
         return EXIT_NOT_FOUND
@@ -167,7 +167,7 @@ def _cmd_density(args) -> int:
 
     pattern = parse_digit_string(args.pattern)
     exponents = _parse_exponents(args.exponents)
-    reports = density_table(pattern, exponents, cache_dir=args.cache_dir, threads=args.threads)
+    reports = density_table(pattern, exponents, cache_dir=args.cache_dir)
     rows = [
         [pattern.text, len(str(rep.n)) - 1, rep.n, rep.pi_n, rep.containing, rep.avoiding, rep.density]
         for rep in reports
@@ -183,7 +183,7 @@ def _cmd_table1(args) -> int:
         raise DomainError("table1 covers lengths 1..5")
     rows = []
     for l in range(1, args.max_l + 1):
-        result = coverage_threshold(l, _TABLE1_LIMITS[l], cache_dir=args.cache_dir, threads=args.threads)
+        result = coverage_threshold(l, _TABLE1_LIMITS[l], cache_dir=args.cache_dir)
         if result is None:  # limits are sized so this cannot happen
             raise ResourceLimitError(f"coverage incomplete for l = {l}")
         rows.append([l, result.m, solve_log_n(theorem_bound_simple(l))])

@@ -131,7 +131,6 @@ def coverage_threshold(
     length: int,
     limit: int,
     cache_dir: str | os.PathLike | None = None,
-    threads: int = 1,
 ) -> CoverageResult | None:
     """Scan primes ascending until every length-`length` string with a
     nonzero leading digit has appeared inside one; None if the limit is
@@ -144,7 +143,6 @@ def coverage_threshold(
     """
     if not 1 <= length <= 6:
         raise DomainError("coverage is desk-scale only: 1 <= length <= 6")
-    _check_threads(threads)
     lo = 10 ** (length - 1)
     first = np.zeros(10 * lo, dtype=np.int32)  # first[v]: least prime containing v
     for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
@@ -213,10 +211,8 @@ def density_table(
     pattern: DigitString | str,
     exponents: list[int],
     cache_dir: str | os.PathLike | None = None,
-    threads: int = 1,
 ) -> list[DensityReport]:
     """One DensityReport per bound 10^e, all from a single sieve pass."""
-    _check_threads(threads)
     if not exponents:
         return []
     if min(exponents) < 0:
@@ -278,10 +274,3 @@ def verify_ap(result: APResult, pattern: DigitString | str) -> bool:
             return False
     return True
 
-
-def _check_threads(threads: int) -> None:
-    """`threads` must be at least 1 and never changes output: the scans run
-    in this process, and a large sieve uses one forked worker per CPU the
-    process may run on whatever its value (see PrimeStream)."""
-    if threads < 1:
-        raise DomainError("threads must be >= 1")

@@ -1,7 +1,7 @@
 """Prime generation and counting.
 
 Bulk enumeration uses a segmented sieve of Eratosthenes over odd numbers
-only; spot checks use a deterministic Miller-Rabin ladder.  Natural
+only; spot checks use Miller-Rabin with a fixed witness set.  Natural
 logarithms throughout.
 """
 
@@ -295,21 +295,10 @@ def rosser_lower(x: float) -> float:
     return x / math.log(x)
 
 
-# Deterministic Miller-Rabin witness ladder.  Each entry (bound, bases)
-# certifies every n < bound; the final row covers well beyond 2^64.
-_MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
-_MR_CERTIFIED_BELOW = _MR_LADDER[-1][0]
-
+# Miller-Rabin with these twelve witnesses certifies every n below
+# _MR_CERTIFIED_BELOW (Sorenson and Webster, 2015), well beyond 2^64.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_CERTIFIED_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
@@ -327,10 +316,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for bound, bases in _MR_LADDER:
-        if n < bound:
-            break
-    for a in bases:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

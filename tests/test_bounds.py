@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ def test_solve_log_n_log_consistency():
     # works where B overflows doubles: log B = 1000
     t = solve_log_n_log(1000.0)
     assert t - math.log(t) == pytest.approx(1000.0, rel=1e-9)
+
+
+def _decimal_t(log_b: Decimal) -> Decimal:
+    """The root t > 1 of t - ln t = log_b, by 50-digit bisection."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(1), log_b + log_b.ln() + 1
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid - mid.ln() < log_b else (lo, mid)
+        return hi
+
+
+def _decimal_root(b: float) -> Decimal:
+    """y > e with y / ln y = b: y = b t where t - ln t = ln b."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(b) * _decimal_t(Decimal(b).ln())
+
+
+@pytest.mark.parametrize("b", [math.e + 1e-12, math.e + 1e-9, 2.8, 57.0, 319389.0, 1e12, 1e300])
+def test_solve_log_n_matches_a_50_digit_root(b):
+    # near e the curve is flat, so a 1e-9 residual test would pass values
+    # far from the root
+    assert solve_log_n(b) == pytest.approx(float(_decimal_root(b)), rel=1e-12)
+
+
+@pytest.mark.parametrize("log_b", [1 + 1e-12, 1 + 1e-6, 1.003])
+def test_solve_log_n_log_near_one(log_b):
+    assert solve_log_n_log(log_b) == pytest.approx(float(_decimal_t(Decimal(log_b))), rel=1e-12)
 
 
 def test_coupon_prediction_l2():

@@ -45,6 +45,13 @@ def test_solve_logn(capsys):
     assert abs(value - 330.7) < 0.05
 
 
+def test_solve_logn_prints_the_correctly_rounded_root(capsys):
+    # the root is 4921505.004...; a 1e-9-accurate one can round to 4.9215e+06
+    code, out, _ = run_cli(capsys, "solve-logn", "--b", "319389", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "319389,4.92151e+06"
+
+
 def test_solve_logn_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve-logn", "--b", "2")
     assert code == 2
@@ -219,10 +226,13 @@ def test_interrupt_exits_130(capsys, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 def test_sigint_during_a_pooled_sieve_is_clean():
     # a 10^9 density scan runs long past its first pool start; the child
-    # leads a new process group, which its sieve workers join
+    # leads a new process group, which its sieve workers join.  A background
+    # job of a non-interactive shell inherits SIGINT ignored, so the child
+    # restores the default before it starts.
     proc = subprocess.Popen(
         [sys.executable, "-m", "stringprime", "density", "--pattern", "7", "--exponents", "9"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     time.sleep(0.5)
     proc.send_signal(signal.SIGINT)

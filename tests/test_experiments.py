@@ -217,8 +217,6 @@ def test_coverage_domain():
         coverage_threshold(0, 100)
     with pytest.raises(DomainError):
         coverage_threshold(7, 100)
-    with pytest.raises(DomainError):
-        coverage_threshold(2, 10_000, threads=0)
 
 
 def test_coverage_map_csv(tmp_path):

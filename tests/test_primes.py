@@ -227,10 +227,15 @@ def test_is_prime_sampled_to_1e7():
 
 
 def test_is_prime_strong_pseudoprime_traps():
-    # smallest composite passing bases 2,3,5,7; ladder must switch tiers
+    # the least strong pseudoprimes to the first 1, 2, 3, 4, 6, 7 and 9 prime
+    # bases; every n is tested against all twelve witnesses
+    assert not is_prime(2_047)
+    assert not is_prime(1_373_653)
+    assert not is_prime(25_326_001)
     assert not is_prime(3_215_031_751)
     assert not is_prime(3_474_749_660_383)
     assert not is_prime(341_550_071_728_321)
+    assert not is_prime(3_825_123_056_546_413_051)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**64 - 1)
 
