@@ -9,7 +9,6 @@ base 10 would not reproduce the l = 1 reference value 330.7.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -21,7 +20,8 @@ PLAIN_SCALE_MAX_L = 18
 # Every report builds r = 10^l exactly; past this length that alone takes
 # seconds to minutes.
 REPORT_MAX_L = 10**6
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# The last length whose coupon-predicted N is a finite double.
+_COUPON_MAX_L = 302
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def theorem_bound_simple(l: int) -> float:
 
 
 def theorem_bound_simple_log(l: int) -> float:
-    """log(5.7 l^2 10^l), defined for every l >= 1."""
+    """log(5.7 l^2 10^l) for l >= 1: inf past l ~ 7.8e307, where l log 10
+    overflows, and OverflowError past l ~ 1.8e308, which no double holds."""
     if l < 1:
         raise DomainError("l must be >= 1")
     return math.log(5.7) + 2.0 * math.log(l) + l * _LN10
@@ -123,7 +124,7 @@ def coupon_prediction(l: int) -> tuple[float, float]:
     """
     if l < 2:
         raise DomainError("coupon prediction needs l >= 2")
-    if l > PLAIN_SCALE_MAX_L and _coupon_prediction_log(l)[1] >= _LOG_DOUBLE_MAX:
+    if l > _COUPON_MAX_L:
         raise DomainError(f"coupon prediction for l = {l} passes double range; `bound --l {l}` gives its natural log")
     universe = 9 * 10 ** (l - 1)
     expected_pi = 10 ** (l - 1) / ((l - 1) * _LN10) + universe * math.log(universe)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .bounds import bound_report, coupon_prediction, asymptotic_prediction, solve_log_n, theorem_bound_simple
+from .bounds import PLAIN_SCALE_MAX_L, bound_report, coupon_prediction, asymptotic_prediction, solve_log_n, theorem_bound_simple
 from .counting import count_avoiders
 from .digits import parse_digit_string
 from .errors import DomainError, InvalidInputError, ResourceLimitError
@@ -87,7 +87,7 @@ def _cmd_bound(args) -> int:
     ]
     _emit(args, _BOUND_HEADERS, [row])
     if rep.log_scale:
-        print("note: values above l = 18 are natural logarithms", file=sys.stderr)
+        print(f"note: values above l = {PLAIN_SCALE_MAX_L} are natural logarithms", file=sys.stderr)
     return EXIT_OK
 
 

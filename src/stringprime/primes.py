@@ -42,19 +42,16 @@ _CACHE_FILENAME = "sieve.spsv"
 _POOL_BREAK_EVEN = 32
 _POOL_CHUNK_SEGMENTS = 8
 
-# The odd multiples of these primes repeat every 3*5*7*11*13 odd indices, so
-# marks start as a copy of one tile and only primes >= 17 are sieved.
+# The odd multiples of these primes repeat every T = 3*5*7*11*13 odd indices,
+# so marks start as a copy of that tile and only primes >= 17 are sieved.
 _TILE_PRIMES = (3, 5, 7, 11, 13)
-
-
-def _small_prime_tile() -> np.ndarray:
-    tile = np.zeros(math.prod(_TILE_PRIMES), dtype=bool)
-    for p in _TILE_PRIMES:
-        tile[p // 2 :: p] = True  # odd index p // 2 holds p
-    return tile
-
-
-_TILE = _small_prime_tile()
+_TILE_PERIOD = math.prod(_TILE_PRIMES)
+# The tile, long enough for one pass from any phase of its second period; its
+# first period holds the true marks of 1, 3, ..., 2T - 1 (1 marked, 3..13 not).
+_TILE_RUN = np.zeros(2 * _TILE_PERIOD + SEGMENT_SPAN, dtype=bool)
+_TILE_RUN[0] = True
+for _p in _TILE_PRIMES:
+    _TILE_RUN[_p // 2 + _p :: _p] = True  # odd index p // 2 + p holds 3p
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,11 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
     marks are exact up to limit.  start must be a multiple of span.
 
     Each pass over the base primes marks two segments at once (a lone last
-    segment is marked alone) and yields each half packed.
+    segment is marked alone) in one buffer, copied from _TILE_RUN at the
+    pass's phase, and yields each half packed; span must be <= SEGMENT_SPAN.
     """
     half = span // 2
+    buf = np.empty(span, dtype=bool)
     ps = _simple_primes(math.isqrt(limit))[len(_TILE_PRIMES) + 1 :]  # the tile covers 2..13
     squares = ps * ps
     # odd index of each base prime's next multiple, from the current base
@@ -114,13 +113,9 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
     for base in range(start, limit + 1, 2 * span):
         n = span if base + span <= limit else half  # odd indices marked in this pass
         lo = base // 2
-        r = lo % _TILE.size
-        marks = np.tile(_TILE, (r + n) // _TILE.size + 1)[r : r + n]
-        for p in _TILE_PRIMES:  # the tile marks the primes themselves
-            if 0 <= p // 2 - lo < n:
-                marks[p // 2 - lo] = False
-        if base == 0:
-            marks[0] = True  # 1 is not prime
+        r = min(lo, _TILE_PERIOD + lo % _TILE_PERIOD)  # past the first period, read the second
+        marks = buf[:n]
+        marks[:] = _TILE_RUN[r : r + n]
         k = int(np.searchsorted(squares, base + 2 * n))  # primes with p*p in the pass or below
         for o, p in zip(offsets[:k].tolist(), ps[:k].tolist()):
             marks[o::p] = True
@@ -339,7 +334,8 @@ def _cache_path(cache_dir: str) -> str:
 def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
     """The checked packed rows, one per segment, that the file holds towards
     [0, limit]: the ceil((limit + 1) / span) rows a request needs, or every
-    row when the file is shorter.  Empty if the file is missing or unusable.
+    row when the file is shorter.  Empty if the file is missing, cannot be
+    read (a warning) or is unusable.
 
     A bad header, file size or table CRC-32 marks the whole file corrupt: it
     is ignored with a warning and the range is recomputed.  A row read with a
@@ -371,7 +367,10 @@ def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
             rows = list(np.frombuffer(fh.read(count * width), dtype=np.uint8).reshape(count, width))
     except FileNotFoundError:
         return []
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        print(f"stringprime: cannot read sieve cache {path}: {exc}", file=sys.stderr)
+        return []
+    except ValueError as exc:
         print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
         return []
     for i, (row, (row_crc,)) in enumerate(zip(rows, struct.iter_unpack("<I", table))):

@@ -171,6 +171,14 @@ def test_coupon_rejects_l1():
         asymptotic_prediction(1)
 
 
+@pytest.mark.parametrize("l", [303, 10**308, 10**400], ids=["303", "10^308", "10^400"])
+def test_coupon_past_double_range_raises(l):
+    # 10**308 still converts to a double, 10**400 does not
+    for predict in (coupon_prediction, asymptotic_prediction):
+        with pytest.raises(DomainError, match="passes double range"):
+            predict(l)
+
+
 def test_asymptotic_prediction():
     for l in (2, 5, 10):
         predicted_n, implied = asymptotic_prediction(l)

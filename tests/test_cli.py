@@ -184,7 +184,11 @@ def test_coupon_l1_domain_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("l", ["302", "303", "306", "309", "5000"])
+@pytest.mark.parametrize(
+    "l",
+    ["302", "303", "306", "309", "5000",
+     pytest.param("1" + "0" * 308, id="10^308"), pytest.param("1" + "0" * 400, id="10^400")],
+)
 def test_coupon_past_double_range_is_a_domain_error(capsys, l):
     code, out, err = run_cli(capsys, "coupon", "--l", l, "--format", "csv")
     if l == "302":  # the last length whose predicted N is a finite double

@@ -141,11 +141,19 @@ def test_segments_aligned():
 
 @pytest.mark.parametrize(
     "span,count",
-    [(8, 131), (8, 132), (10, 105), (10, 106), (24, 45), (24, 46), (SEGMENT_SPAN, 5), (SEGMENT_SPAN, 6)],
+    [
+        (8, 131), (8, 132), (10, 105), (10, 106), (24, 45), (24, 46),
+        (30_030, 5), (30_032, 5),
+        (SEGMENT_SPAN, 5), (SEGMENT_SPAN, 6),
+    ],
 )
 def test_sieve_from_a_later_segment_matches_the_tail(span, count):
     # odd and even segment counts, so passes pair segments differently; the
-    # small spans reach base primes >= 29 whose squares lie before `start`
+    # small spans reach base primes >= 29 whose squares lie before `start`.
+    # Spans 30030 and 30032 start passes past the tile run's first period,
+    # at tile phases 0 and 1, 2, ...; with SEGMENT_SPAN the largest phase
+    # below SIEVE_CEILING is a pass from segment 789 (run offset 30,012, so
+    # it reads 1,078,588 of the run's 1,078,606 entries): see the next test.
     limit = count * span - 3
     full = list(_sieve_segments(limit, span=span))
     assert len(full) == count
@@ -154,6 +162,20 @@ def test_sieve_from_a_later_segment_matches_the_tail(span, count):
         assert [s.base for s in tail] == [s.base for s in full[k:]]
         for got, want in zip(tail, full[k:]):
             assert np.array_equal(got.odd_composite, want.odd_composite)
+
+
+def test_sieve_pass_at_the_largest_tile_phase():
+    # a pass from segment 789, as a cache grown from 789 segments sieves it,
+    # against the same segments sieved from the passes at 788 and 790
+    limit = 791 * SEGMENT_SPAN - 1
+    got = list(_sieve_segments(limit, start=789 * SEGMENT_SPAN))
+    want = list(_sieve_segments(limit, start=788 * SEGMENT_SPAN))[1:]
+    assert [s.base for s in got] == [s.base for s in want] == [789 * SEGMENT_SPAN, 790 * SEGMENT_SPAN]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.packed, w.packed)
+    marks = np.concatenate([s.odd_composite for s in got])
+    for j in random.Random(789).sample(range(marks.size), 2_000):
+        assert marks[j] != is_prime(789 * SEGMENT_SPAN + 2 * j + 1)
 
 
 def test_segment_marks_match_primality():
@@ -486,7 +508,9 @@ def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     assert list(primes_up_to(10_000, cache_dir=blocker)) == trial_division_primes(10_000)
-    assert "could not write sieve cache" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "could not write sieve cache" in err
+    assert "corrupt" not in err  # the read fails too, but nothing in it is corrupt
 
 
 def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
