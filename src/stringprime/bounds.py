@@ -124,6 +124,8 @@ def coupon_prediction(l: int) -> tuple[float, float]:
     """
     if l < 2:
         raise DomainError("coupon prediction needs l >= 2")
+    if l > REPORT_MAX_L:  # no bound report either, and str(l) may pass Python's digit limit
+        raise DomainError(f"coupon prediction passes double range for every l > {_COUPON_MAX_L}")
     if l > _COUPON_MAX_L:
         raise DomainError(f"coupon prediction for l = {l} passes double range; `bound --l {l}` gives its natural log")
     universe = 9 * 10 ** (l - 1)
@@ -158,31 +160,17 @@ def bound_report(l: int) -> BoundReport:
     if l < 1:
         raise DomainError("l must be >= 1")
     if l > REPORT_MAX_L:
-        raise ResourceLimitError(f"bound reports need l <= {REPORT_MAX_L}; r = 10^{l} is too large to build")
+        raise ResourceLimitError(f"bound reports need l <= {REPORT_MAX_L}; r = 10^l is too large to build")
     r = 10**l
-    if l <= PLAIN_SCALE_MAX_L:
+    log_scale = l > PLAIN_SCALE_MAX_L
+    if log_scale:
+        simple = theorem_bound_simple_log(l)
+        exact = theorem_bound_exact_log(r)
+        log_n = solve_log_n_log(simple)
+        coupon = _coupon_prediction_log(l)
+    else:
         simple = theorem_bound_simple(l)
-        coupon_pi = coupon_n = None
-        if l >= 2:
-            coupon_pi, coupon_n = coupon_prediction(l)
-        return BoundReport(
-            l=l,
-            r=r,
-            bound_simple=simple,
-            bound_exact=theorem_bound_exact(r),
-            log_n=solve_log_n(simple),
-            coupon_pi=coupon_pi,
-            coupon_n=coupon_n,
-        )
-    log_simple = theorem_bound_simple_log(l)
-    coupon_pi, coupon_n = _coupon_prediction_log(l)
-    return BoundReport(
-        l=l,
-        r=r,
-        bound_simple=log_simple,
-        bound_exact=theorem_bound_exact_log(r),
-        log_n=solve_log_n_log(log_simple),
-        coupon_pi=coupon_pi,
-        coupon_n=coupon_n,
-        log_scale=True,
-    )
+        exact = theorem_bound_exact(r)
+        log_n = solve_log_n(simple)
+        coupon = coupon_prediction(l) if l >= 2 else (None, None)
+    return BoundReport(l, r, simple, exact, log_n, *coupon, log_scale=log_scale)

@@ -1,6 +1,6 @@
 """Exact and bounded counting of pattern-avoiding integers.
 
-The exact count walks a failure-function automaton forward over the digits
+The exact count walks a KMP automaton forward over the digits
 of the bound (digit DP); the closed forms treat a length-l decimal string
 as a single digit in base r = 10^l and bound the avoiders from above.
 """
@@ -35,26 +35,14 @@ class PatternAutomaton:
         self.pattern = pattern
         l = pattern.length
         self.accept_state = l
-        fail = [0] * l  # classic KMP failure links
-        k = 0
-        for i in range(1, l):
-            while k > 0 and pattern.digits[i] != pattern.digits[k]:
-                k = fail[k - 1]
-            if pattern.digits[i] == pattern.digits[k]:
-                k += 1
-            fail[i] = k
+        # KMP DFA: row s is the row of the state that a mismatch after s digits
+        # falls back to, with pattern[s] sent on to s + 1
         table: list[tuple[int, ...]] = []
-        for s in range(l):
-            row = []
-            for d in range(10):
-                if d == pattern.digits[s]:
-                    row.append(s + 1)
-                elif s == 0:
-                    row.append(0)
-                else:
-                    row.append(table[fail[s - 1]][d])
-            table.append(tuple(row))
-        table.append(tuple([l] * 10))  # accept absorbs
+        restart = (0,) * 10  # that row for s = 0: every digit falls to state 0
+        for s, d in enumerate(pattern.digits):
+            table.append(restart[:d] + (s + 1,) + restart[d + 1 :])
+            restart = table[restart[d]]
+        table.append((l,) * 10)  # accept absorbs
         self.transition: tuple[tuple[int, ...], ...] = tuple(table)
         # moves[s]: (t, number of digits taking s to t) for each t != accept
         self.moves: tuple[tuple[tuple[int, int], ...], ...] = tuple(
@@ -81,7 +69,7 @@ class PatternAutomaton:
 
 
 def build_automaton(pattern: DigitString | str) -> PatternAutomaton:
-    """Failure-function automaton for one digit pattern."""
+    """KMP automaton for one digit pattern."""
     return PatternAutomaton(pattern)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from stringprime.bounds import (
     PLAIN_SCALE_MAX_L,
+    REPORT_MAX_L,
     BoundReport,
+    _coupon_prediction_log,
     asymptotic_prediction,
     bound_report,
     coupon_prediction,
@@ -19,7 +21,7 @@ from stringprime.bounds import (
     theorem_bound_simple,
     theorem_bound_simple_log,
 )
-from stringprime.errors import DomainError
+from stringprime.errors import DomainError, ResourceLimitError
 
 LN10 = math.log(10.0)
 
@@ -171,9 +173,10 @@ def test_coupon_rejects_l1():
         asymptotic_prediction(1)
 
 
-@pytest.mark.parametrize("l", [303, 10**308, 10**400], ids=["303", "10^308", "10^400"])
+@pytest.mark.parametrize("l", [303, 10**308, 10**400, 10**5000], ids=["303", "10^308", "10^400", "10^5000"])
 def test_coupon_past_double_range_raises(l):
-    # 10**308 still converts to a double, 10**400 does not
+    # 10**308 still converts to a double, 10**400 does not; str(10**5000)
+    # passes Python's int-to-str digit limit
     for predict in (coupon_prediction, asymptotic_prediction):
         with pytest.raises(DomainError, match="passes double range"):
             predict(l)
@@ -217,6 +220,18 @@ def test_bound_report_plain_scale():
     )
     # report invariant: log_n / log(log_n) recovers the simple bound
     assert rep.log_n / math.log(rep.log_n) == pytest.approx(rep.bound_simple, rel=1e-9)
+    for l in (2, PLAIN_SCALE_MAX_L):
+        simple = theorem_bound_simple(l)
+        expected_pi, predicted_n = coupon_prediction(l)
+        assert bound_report(l) == BoundReport(
+            l=l,
+            r=10**l,
+            bound_simple=simple,
+            bound_exact=theorem_bound_exact(10**l),
+            log_n=solve_log_n(simple),
+            coupon_pi=expected_pi,
+            coupon_n=predicted_n,
+        )
 
 
 def test_bound_report_l1_has_no_coupon():
@@ -235,6 +250,25 @@ def test_bound_report_log_scale():
     plain = bound_report(18)
     assert not plain.log_scale
     assert bound_report(19).bound_simple > math.log(plain.bound_simple)
+    for l in (PLAIN_SCALE_MAX_L + 1, 25, REPORT_MAX_L):
+        log_simple = theorem_bound_simple_log(l)
+        log_pi, log_n = _coupon_prediction_log(l)
+        assert bound_report(l) == BoundReport(
+            l=l,
+            r=10**l,
+            bound_simple=log_simple,
+            bound_exact=theorem_bound_exact_log(10**l),
+            log_n=solve_log_n_log(log_simple),
+            coupon_pi=log_pi,
+            coupon_n=log_n,
+            log_scale=True,
+        )
+
+
+@pytest.mark.parametrize("l", [REPORT_MAX_L + 1, 10**5000], ids=["REPORT_MAX_L+1", "10^5000"])
+def test_bound_report_past_the_length_ceiling_is_a_resource_limit(l):
+    with pytest.raises(ResourceLimitError, match="bound reports need l <= "):
+        bound_report(l)
 
 
 def test_bound_report_exact_le_simple_from_6():

@@ -34,7 +34,12 @@ def brute_avoider_count(text: str, x: int) -> int:
     return sum(1 for n in range(1, x + 1) if text not in str(n))
 
 
-@pytest.mark.parametrize("text", CORPUS + ["121", "11", "1231", "010"])
+@pytest.mark.parametrize(
+    "text",
+    CORPUS + ["121", "11", "1231", "010"]
+    # long restart chains
+    + ["12121213", "1211121", "1121112", "0000", "00100", "12312312"],
+)
 def test_transitions_match_suffix_prefix_oracle(text):
     auto = build_automaton(text)
     pat = auto.pattern.digits

@@ -262,6 +262,11 @@ def test_ap_not_found():
     assert find_prime_ap("123", 3, 100) is None
 
 
+def test_ap_search_stops_when_no_difference_fits():
+    # the only candidate is the limit itself, so its largest difference is 0
+    assert find_prime_ap("7", 3, 7) is None
+
+
 def test_ap_domain():
     with pytest.raises(DomainError):
         find_prime_ap("1", 2, 100)
