@@ -9,6 +9,7 @@ base 10 would not reproduce the l = 1 reference value 330.7.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
@@ -122,6 +123,7 @@ def coupon_prediction(l: int) -> tuple[float, float]:
     The l = 1 case divides by zero and is rejected, not patched, and so
     are lengths whose predicted N passes double range.
     """
+    l = operator.index(l)
     if l < 2:
         raise DomainError("coupon prediction needs l >= 2")
     if l > REPORT_MAX_L:  # no bound report either, and str(l) may pass Python's digit limit
@@ -157,6 +159,7 @@ def bound_report(l: int) -> BoundReport:
     set); the coupon fields are absent at l = 1 where the heuristic is
     undefined.  Lengths above REPORT_MAX_L raise ResourceLimitError.
     """
+    l = operator.index(l)
     if l < 1:
         raise DomainError("l must be >= 1")
     if l > REPORT_MAX_L:

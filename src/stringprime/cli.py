@@ -31,21 +31,15 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
 
-# Coverage limits known to exceed the least prime bound for each length.
-_TABLE1_LIMITS = {1: 10**3, 2: 10**4, 3: 10**5, 4: 10**6, 5: 10**7}
 # The largest precision float formatting accepts (a C int).
 _MAX_PRECISION = 2**31 - 1
-
-
-def _real(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
 
 
 def _cell(value, precision: int) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _real(value, precision)
+        return f"{value:.{precision}g}"
     return str(value)
 
 
@@ -183,10 +177,8 @@ def _cmd_table1(args) -> int:
         raise DomainError("table1 covers lengths 1..5")
     rows = []
     for l in range(1, args.max_l + 1):
-        result = coverage_threshold(l, _TABLE1_LIMITS[l], cache_dir=args.cache_dir)
-        if result is None:  # limits are sized so this cannot happen
-            raise ResourceLimitError(f"coverage incomplete for l = {l}")
-        rows.append([l, result.m, solve_log_n(theorem_bound_simple(l))])
+        m = coverage_threshold(l, 10 ** (l + 2), cache_dir=args.cache_dir).m  # 10^(l + 2) > M(l)
+        rows.append([l, m, solve_log_n(theorem_bound_simple(l))])
     _emit(args, ["l", "M", "logN"], rows)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import math
+import operator
 import os
 import struct
 import sys
@@ -85,8 +86,6 @@ def _check_limit(limit: int) -> None:
 
 def _simple_primes(limit: int) -> np.ndarray:
     """Primes <= limit by a plain array sieve (for base primes)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -210,6 +209,7 @@ class PrimeStream:
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
+        limit = operator.index(limit)
         if limit < 2:
             raise DomainError("prime stream needs limit >= 2")
         _check_limit(limit)
@@ -220,8 +220,8 @@ class PrimeStream:
         if self._cache_dir is None:
             yield from _sieve(self.limit)
             return
-        rows = _read_cache(self._cache_dir, self.limit)
         need = self.limit // SEGMENT_SPAN + 1
+        rows = _read_cache(self._cache_dir, need)
         if len(rows) < need:
             # sieve only the missing segments, each exact to its end, which a
             # larger limit may read
@@ -259,19 +259,18 @@ def prime_mask(limit: int) -> np.ndarray:
     """
     if limit < 0:
         raise DomainError("limit must be non-negative")
-    _check_limit(limit)
+    stream = PrimeStream(limit).arrays() if limit >= 2 else ()
     mask = np.zeros(limit + 1, dtype=bool)
-    if limit >= 2:
-        for primes in PrimeStream(limit).arrays():
-            mask[primes] = True
+    for primes in stream:
+        mask[primes] = True
     return mask
 
 
 def prime_count(x: int, cache_dir: str | os.PathLike | None = None) -> int:
     """Exact pi(x): the number of primes not exceeding x."""
+    x = operator.index(x)  # a numpy x would make the count a numpy integer
     if x < 1:
         raise DomainError("prime_count needs x >= 1")
-    _check_limit(x)
     if x < 2:
         return 0
     count = 1  # the prime 2
@@ -299,6 +298,7 @@ _MR_CERTIFIED_BELOW = 318_665_857_834_031_151_167_461
 def is_prime(n: int) -> bool:
     """Exact primality verdict, deterministic for all n below ~3.18e23
     (in particular the full 64-bit range)."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -331,11 +331,11 @@ def _cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, _CACHE_FILENAME)
 
 
-def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
+def _read_cache(cache_dir: str, need: int) -> list[np.ndarray]:
     """The checked packed rows, one per segment, that the file holds towards
-    [0, limit]: the ceil((limit + 1) / span) rows a request needs, or every
-    row when the file is shorter.  Empty if the file is missing, cannot be
-    read (a warning) or is unusable.
+    a request for `need` segments: the first `need` rows, or every row when
+    the file is shorter.  Empty if the file is missing, cannot be read (a
+    warning) or is unusable.
 
     A bad header, file size or table CRC-32 marks the whole file corrupt: it
     is ignored with a warning and the range is recomputed.  A row read with a
@@ -362,7 +362,7 @@ def _read_cache(cache_dir: str, limit: int) -> list[np.ndarray]:
             table = fh.read(4 * total)
             if zlib.crc32(table) != crc:
                 raise ValueError("segment table checksum mismatch")
-            count = min(total, limit // span + 1)
+            count = min(total, need)
             # a short read fails the reshape
             rows = list(np.frombuffer(fh.read(count * width), dtype=np.uint8).reshape(count, width))
     except FileNotFoundError:

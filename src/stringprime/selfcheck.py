@@ -26,7 +26,7 @@ def _trial_division_primes(limit: int) -> list[int]:
 
 
 def _longest_suffix_prefix(pattern: tuple[int, ...], fed: tuple[int, ...]) -> int:
-    for length in range(min(len(pattern), len(fed)), -1, -1):
+    for length in range(min(len(pattern), len(fed)), 0, -1):
         if fed[len(fed) - length :] == pattern[:length]:
             return length
     return 0

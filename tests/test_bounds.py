@@ -271,6 +271,13 @@ def test_bound_report_past_the_length_ceiling_is_a_resource_limit(l):
         bound_report(l)
 
 
+@pytest.mark.parametrize("l", [19, 20, 25, 302])
+def test_numpy_lengths_match_python_ints(l):
+    # 10**l in int64 overflows from l = 19
+    assert bound_report(np.int64(l)) == bound_report(l)
+    assert coupon_prediction(np.int64(l)) == coupon_prediction(l)
+
+
 def test_bound_report_exact_le_simple_from_6():
     for l in (6, 9, 15, 18):
         rep = bound_report(l)

@@ -380,6 +380,36 @@ def test_seed_check_then_subcommand(capsys):
     assert out.strip().endswith(tuple("0123456789"))
 
 
+class _OneWrongTransition(stringprime.PatternAutomaton):
+    """An automaton whose move on digit 0 from state 0 goes one state too far."""
+
+    def __init__(self, pattern):
+        super().__init__(pattern)
+        first, *rest = self.transition
+        self.transition = ((first[0] + 1, *first[1:]), *rest)
+
+
+# (name in stringprime.selfcheck, its faulty stand-in given the real one, the check that must fail)
+_SEED_CHECK_FAULTS = [
+    ("primes_up_to", lambda real: lambda limit: list(real(limit))[1:], "sieve matches trial division to 10^4"),
+    ("prime_count", lambda real: lambda x: real(x) + 1, "pi(10^4) exact"),
+    ("is_prime", lambda real: lambda n: real(n) or n == 9, "is_prime matches trial division to 10^4"),
+    ("rosser_lower", lambda real: float, "pi(x) > x/log x on [17, 10^4]"),
+    ("PatternAutomaton", lambda real: _OneWrongTransition, "automaton transitions match longest suffix-prefix"),
+    ("count_avoiders", lambda real: lambda auto, x: real(auto, x) + 1, "exact avoider count matches brute force to 2000"),
+    ("solve_log_n", lambda real: lambda b: real(b) * (1 + 1e-6), "y/log y inversion round trip"),
+]
+
+
+@pytest.mark.parametrize("name,fault,check", _SEED_CHECK_FAULTS, ids=[case[0] for case in _SEED_CHECK_FAULTS])
+def test_seed_check_reports_a_failing_check(capsys, monkeypatch, name, fault, check):
+    from stringprime import selfcheck
+
+    monkeypatch.setattr(selfcheck, name, fault(getattr(selfcheck, name)))
+    assert selfcheck.run() >= 1
+    assert f"seed-check FAIL: {check}\n" in capsys.readouterr().out
+
+
 def test_failing_seed_check_prints_no_table(capsys, monkeypatch):
     import stringprime.selfcheck
 

@@ -122,9 +122,12 @@ def test_stream_limit_validation():
         primes_up_to(SIEVE_CEILING + 1)
 
 
-@pytest.mark.parametrize("limit", [SIEVE_CEILING + 1, 10**5000], ids=["ceiling+1", "10^5000"])
+@pytest.mark.parametrize(
+    "limit", [SIEVE_CEILING + 1, 10**5000, np.int64(2 * 10**9)], ids=["ceiling+1", "10^5000", "numpy-2e9"]
+)
 def test_limit_past_the_ceiling_is_a_resource_limit(limit):
-    # str(10**5000) exceeds Python's int-to-str digit limit
+    # str(10**5000) exceeds Python's int-to-str digit limit, and a numpy
+    # integer has no bit_length()
     for call in (prime_count, primes_up_to, prime_mask):
         with pytest.raises(ResourceLimitError, match="exceeds configured ceiling"):
             call(limit)
@@ -260,6 +263,24 @@ def test_is_prime_strong_pseudoprime_traps():
     assert not is_prime(3_825_123_056_546_413_051)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**64 - 1)
+
+
+def test_prime_count_takes_numpy_integers():
+    count = prime_count(np.int64(10**6))
+    assert (type(count), count) == (int, 78_498)
+    for x in (1.5, 1000.0):
+        with pytest.raises(TypeError):
+            prime_count(x)
+
+
+def test_is_prime_takes_numpy_integers():
+    primes = next(primes_up_to(1_000).arrays())
+    assert [is_prime(n) for n in np.arange(38, 1_001)] == [n in primes for n in range(38, 1_001)]
+    assert is_prime(np.int64(2**61 - 1))
+    assert not is_prime(np.uint64(2**64 - 1))
+    for n in (2.0, 41.0):
+        with pytest.raises(TypeError):
+            is_prime(n)
 
 
 def test_is_prime_beyond_certified_range():
