@@ -207,7 +207,7 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=d(6), metavar="P",
                         help="significant digits for reals (default 6)")
     common.add_argument("--threads", type=int, default=d(1), metavar="N",
-                        help="must be >= 1; never changes output (large sieves use every available CPU)")
+                        help="must be >= 1; never changes output")
     common.add_argument("--cache-dir", default=d(os.environ.get("STRINGPRIME_CACHE")), metavar="PATH",
                         help="directory for the sieve segment cache "
                              "(default $STRINGPRIME_CACHE; unset = in-memory)")

@@ -1,13 +1,13 @@
 """Prime generation and counting.
 
 Bulk enumeration uses a segmented sieve of Eratosthenes over odd numbers
-only; spot checks use Miller-Rabin with a fixed witness set.  Natural
-logarithms throughout.
+only; an uncached pi(x) uses the Legendre recurrence, which sieves nothing;
+spot checks use Miller-Rabin with a fixed witness set.  Natural logarithms
+throughout.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 import operator
@@ -35,14 +35,6 @@ _CACHE_VERSION = 4
 _CACHE_HEADER = struct.Struct("<4sIQQI")
 _CACHE_FILENAME = "sieve.spsv"
 
-# A range is sieved here for its first _POOL_BREAK_EVEN segments, then by
-# forked workers a chunk of _POOL_CHUNK_SEGMENTS segments at a time (_sieve).
-# On 2 CPUs, starting and stopping two workers costs 12-15 ms, about what
-# they save on 64 segments; 8-segment chunks were as fast as 16 or 32 on
-# pi(10^9).
-_POOL_BREAK_EVEN = 32
-_POOL_CHUNK_SEGMENTS = 8
-
 # The odd multiples of these primes repeat every T = 3*5*7*11*13 odd indices,
 # so marks start as a copy of that tile and only primes >= 17 are sieved.
 _TILE_PRIMES = (3, 5, 7, 11, 13)
@@ -60,10 +52,10 @@ class SieveSegment:
     """One sieved block [base, base + span).
 
     `packed` is np.packbits of the block's odd-composite marks, the form the
-    sieve yields, the workers return and the cache stores.  `odd_composite`
-    unpacks it: `odd_composite[j]` marks base + 2j + 1; an odd resident > 2
-    up to the sieved limit is prime iff unmarked.  base is always a multiple
-    of the span (hence even).
+    sieve yields and the cache stores.  `odd_composite` unpacks it:
+    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
+    sieved limit is prime iff unmarked.  base is always a multiple of the
+    span (hence even).
     """
 
     base: int
@@ -125,87 +117,12 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
             yield SieveSegment(base + span, span, np.packbits(marks[half:]))
 
 
-def _sieve(limit: int, start: int = 0) -> Iterator[SieveSegment]:
-    """The aligned segments covering [start, limit] in ascending order, exact
-    up to limit: sieved in this process, then, past the first
-    _POOL_BREAK_EVEN segments and when _pool_workers allows, by forked
-    workers.  start must be a multiple of the span."""
-    split = start + _POOL_BREAK_EVEN * SEGMENT_SPAN
-    if limit >= split:
-        yield from _sieve_segments(split - 1, start=start)
-        workers = _pool_workers()
-        if workers > 1:
-            yield from _pool_segments(limit, split, workers)
-            return
-        start = split
-    yield from _sieve_segments(limit, start=start)
-
-
-def _pool_workers() -> int:
-    """Worker processes to sieve with: one per CPU this process may run on,
-    or 1 (sieve here) when only one is, when "fork" is not a start method, or
-    when another thread is alive, since forking a threaded process can
-    deadlock."""
-    import multiprocessing
-    import threading
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return 1
-    return cpus
-
-
-def _pool_segments(limit: int, start: int, workers: int) -> Iterator[SieveSegment]:
-    """The segments covering [start, limit], in order, sieved by `workers`
-    forked processes a chunk at a time, with at most two chunks per worker in
-    flight.  Every worker has exited when the generator finishes, raises or
-    is closed."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = _POOL_CHUNK_SEGMENTS * SEGMENT_SPAN
-    # chunks end on multiples of step; the first and the last may be shorter
-    edges = [start, *range(start - start % step + step, limit + 1, step), limit + 1]
-    # forked workers start with numpy imported and with this module as it
-    # is, so a pool starts in milliseconds
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_ignore_sigint)
-    try:
-        pending = collections.deque()
-        for lo, hi in zip(edges, edges[1:]):
-            pending.append(pool.submit(_sieve_chunk, hi - 1, lo))
-            if len(pending) > 2 * workers:
-                yield from pending.popleft().result()
-        for future in pending:
-            yield from future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _ignore_sigint() -> None:
-    """Worker initializer: Ctrl-C is the parent's to handle."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _sieve_chunk(limit: int, start: int) -> list[SieveSegment]:
-    """A worker task: the segments covering [start, limit]."""
-    return list(_sieve_segments(limit, start=start))
-
-
 class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
     When `cache_dir` is given and not empty, sieved odd-composite marks are
     read from / written to an on-disk cache; the cache is an optimization
     only and a missing or corrupt file never changes the yielded primes.
-
-    A range that runs past its first _POOL_BREAK_EVEN segments sieves the
-    rest in forked worker processes, one per CPU the process may run on
-    (restrict them with `taskset`), unless only one is, "fork" is not a
-    start method or another thread is alive.  The primes are the same
-    either way, and every worker has exited when the stream ends, raises or
-    is closed; a stream that stops within those first segments starts none.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -218,14 +135,14 @@ class PrimeStream:
 
     def segments(self) -> Iterator[SieveSegment]:
         if self._cache_dir is None:
-            yield from _sieve(self.limit)
+            yield from _sieve_segments(self.limit)
             return
         need = self.limit // SEGMENT_SPAN + 1
         rows = _read_cache(self._cache_dir, need)
         if len(rows) < need:
             # sieve only the missing segments, each exact to its end, which a
             # larger limit may read
-            more = _sieve(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
+            more = _sieve_segments(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
             rows += [seg.packed for seg in more]
             _write_cache(self._cache_dir, rows)
         for i, row in enumerate(rows):
@@ -267,12 +184,19 @@ def prime_mask(limit: int) -> np.ndarray:
 
 
 def prime_count(x: int, cache_dir: str | os.PathLike | None = None) -> int:
-    """Exact pi(x): the number of primes not exceeding x."""
+    """Exact pi(x): the number of primes not exceeding x.
+
+    Without a cache directory it is counted by the Legendre recurrence and
+    sieves nothing; with one, the sieve cache is read, grown if need be, and
+    its marks are counted."""
     x = operator.index(x)  # a numpy x would make the count a numpy integer
     if x < 1:
         raise DomainError("prime_count needs x >= 1")
     if x < 2:
         return 0
+    if not cache_dir:
+        _check_limit(x)
+        return _legendre_count(x)
     count = 1  # the prime 2
     for seg in PrimeStream(x, cache_dir=cache_dir).segments():
         odds = min(seg.span, x + 1 - seg.base) // 2  # odd residents <= x
@@ -280,6 +204,30 @@ def prime_count(x: int, cache_dir: str | os.PathLike | None = None) -> int:
         tail = np.unpackbits(seg.packed[whole : whole + 1], count=rest)
         count += odds - int(np.bitwise_count(seg.packed[:whole]).sum()) - int(tail.sum())
     return count
+
+
+def _legendre_count(x: int) -> int:
+    """pi(x) for x >= 2 by the Legendre-Meissel recurrence, in Lucy_Hedgehog's
+    O(x^(3/4)) form of Lagarias, Miller and Odlyzko (Math. Comp. 44, 1985).
+
+    S(v) counts the n in [2, v] that are prime or that no prime already
+    processed divides; it is kept for the v = x // i in `large[i]`
+    (i <= sqrt(x)) and for every v <= sqrt(x) in `small[v]`.  Each prime
+    p <= sqrt(x) strikes its multiples: S(v) -= S(v // p) - S(p - 1) for
+    every v >= p*p.  Each right-hand side is read whole before it is
+    written, so it holds S from before p, and at the end S(x) = pi(x).
+    """
+    r = math.isqrt(x)
+    quotients = x // np.arange(1, r + 1)  # x // i for i = 1..r
+    large = np.concatenate(([0], quotients - 1))  # S(v) = v - 1 before any p; large[0] unused
+    small = np.arange(-1, r, dtype=np.int64)
+    for j, p in enumerate(_simple_primes(r).tolist()):  # j = S(p - 1) = pi(p - 1)
+        n = min(r, x // (p * p))  # the i with x // i >= p*p
+        k = min(n, r // p)  # x // (i*p) is in large for i <= k, in small past it
+        large[1 : n + 1] -= np.concatenate((large[p : k * p + 1 : p], small[quotients[k:n] // p])) - j
+        if p * p <= r:
+            small[p * p :] -= small[np.arange(p * p, r + 1) // p] - j
+    return int(large[1])
 
 
 def rosser_lower(x: float) -> float:

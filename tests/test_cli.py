@@ -232,11 +232,12 @@ def test_interrupt_exits_130(capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-def test_sigint_during_a_pooled_sieve_is_clean():
-    # a 10^9 density scan runs long past its first pool start; the child
-    # leads a new process group, which its sieve workers join.  A background
-    # job of a non-interactive shell inherits SIGINT ignored, so the child
-    # restores the default before it starts.
+def test_sigint_during_an_in_process_scan_is_clean():
+    # a 10^9 density scan is still sieving and scanning when the signal
+    # comes; the child leads a new process group, so any process it started
+    # would still be found there.  A background job of a non-interactive
+    # shell inherits SIGINT ignored, so the child restores the default
+    # before it starts.
     proc = subprocess.Popen(
         [sys.executable, "-m", "stringprime", "density", "--pattern", "7", "--exponents", "9"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
@@ -248,7 +249,7 @@ def test_sigint_during_a_pooled_sieve_is_clean():
     assert proc.returncode == cli.EXIT_INTERRUPTED == 130
     assert out == "" and err == "interrupted\n"
     with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)  # no worker outlived it
+        os.killpg(proc.pid, 0)  # nothing it started outlived it
 
 
 @pytest.mark.parametrize("exponents", ["10", "5000", "2,10000000"])
@@ -504,3 +505,23 @@ def test_only_sieving_commands_import_numpy():
         "least-prime": [0, True],
         "pool": [],
     }
+
+
+_ONE_PROCESS_PROBE = """
+import contextlib, io, json, sys
+from stringprime import cli, prime_count
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["density", "--pattern", "7", "--exponents", "8"])
+count = prime_count(10**8, cache_dir=sys.argv[1])
+print(json.dumps([code, count, sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)]))
+"""
+
+
+def test_large_sieves_and_counts_run_in_one_process(tmp_path):
+    # both sieve 96 segments of 2^20 integers, the scan in memory and the
+    # count into a cache
+    env = {k: v for k, v in os.environ.items() if k != "STRINGPRIME_CACHE"}
+    proc = subprocess.run([sys.executable, "-c", _ONE_PROCESS_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 5_761_455, []]

@@ -1,12 +1,8 @@
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import multiprocessing
 import os
 import random
-import signal
-import threading
 import tracemalloc
 import zlib
 
@@ -521,8 +517,9 @@ def test_prime_count_1e9_uncached():
 
 @pytest.mark.slow
 def test_prime_count_1e9_cached_grow(tmp_path):
-    assert prime_count(3 * 10**8, cache_dir=tmp_path) == 16_252_325
-    assert prime_count(10**9, cache_dir=tmp_path) == 50_847_534
+    # the cached count reads the sieve's marks, the uncached one sieves nothing
+    assert prime_count(3 * 10**8, cache_dir=tmp_path) == prime_count(3 * 10**8) == 16_252_325
+    assert prime_count(10**9, cache_dir=tmp_path) == prime_count(10**9) == 50_847_534
 
 
 def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
@@ -556,169 +553,40 @@ def test_prime_stream_exposes_limit():
     assert list(stream) == trial_division_primes(50)
 
 
-# --- sieving in forked workers -----------------------------------------------
+# --- uncached prime_count by the Legendre recurrence --------------------------
 
 
-@pytest.fixture
-def executors(monkeypatch):
-    """Every ProcessPoolExecutor built, in order."""
-    built = []
-
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    return built
-
-
-@pytest.fixture
-def pool(monkeypatch, executors):
-    """Two CPUs, one segment sieved here before the workers start, and tasks
-    of three segments, so small limits reach the pool and its chunk edges."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the pool forks its workers")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(primes, "_POOL_BREAK_EVEN", 1)
-    monkeypatch.setattr(primes, "_POOL_CHUNK_SEGMENTS", 3)
-    assert primes._pool_workers() == 2
-    return executors
+@pytest.mark.slow
+def test_uncached_count_matches_the_sieve():
+    limit = 2 * 10**6
+    counts = np.cumsum(plain_sieve(limit))
+    rng = random.Random(2024)
+    xs = [
+        *range(1, 3_000),
+        *(k * k + d for k in range(2, 1_414) for d in (-1, 0, 1)),  # where isqrt(x) steps
+        *(rng.randrange(1, limit + 1) for _ in range(3_000)),
+    ]
+    assert [prime_count(x) for x in xs] == [int(counts[x]) for x in xs]
 
 
-@pytest.mark.parametrize(
-    "limit, chunk",
-    [
-        (6 * SEGMENT_SPAN + 7, 3),
-        (6 * SEGMENT_SPAN - 1, 3),
-        (6 * SEGMENT_SPAN, 3),
-        (4 * SEGMENT_SPAN + 1, 3),
-        (SEGMENT_SPAN + 1, 3),
-        (9 * SEGMENT_SPAN + 5, 1),
-    ],
-    ids=["mid-chunk", "chunk-end", "chunk-start", "short-first-chunk", "one-pool-segment", "more-chunks-than-in-flight"],
-)
-def test_pool_arrays_match_the_serial_oracle(pool, monkeypatch, limit, chunk):
-    monkeypatch.setattr(primes, "_POOL_CHUNK_SEGMENTS", chunk)
-    arrays = list(PrimeStream(limit).arrays())
-    assert len(pool) == 1
-    assert len(arrays) == limit // SEGMENT_SPAN + 1
-    assert np.array_equal(np.concatenate(arrays), np.flatnonzero(plain_sieve(limit)))
-    assert multiprocessing.active_children() == []
+def test_uncached_count_builds_no_segment(monkeypatch):
+    def sieve(*args, **kwargs):
+        raise AssertionError("an uncached count built a segment")
+
+    monkeypatch.setattr(primes, "_sieve_segments", sieve)
+    assert prime_count(10**6) == 78_498
+    assert prime_count(SIEVE_CEILING) == 50_847_534
 
 
-@pytest.mark.parametrize("limit", [6 * SEGMENT_SPAN + 7, 6 * SEGMENT_SPAN - 1])
-def test_pool_cache_file_matches_packed_oracle(pool, tmp_path, limit):
-    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
-    assert len(pool) == 1
-    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+def test_uncached_count_of_a_numpy_integer_is_an_int():
+    count = prime_count(np.int64(10**6))
+    assert type(count) is int and count == 78_498
 
 
-def test_pool_grow_from_mid_chunk(pool, tmp_path, monkeypatch):
-    assert prime_count(2 * SEGMENT_SPAN + 1, cache_dir=tmp_path) == int(plain_sieve(2 * SEGMENT_SPAN + 1).sum())
-    starts = []
-
-    def spy(limit, span=SEGMENT_SPAN, start=0):
-        starts.append(start)
-        return _sieve_segments(limit, span, start)
-
-    monkeypatch.setattr(primes, "_sieve_segments", spy)
-    # rows 0..2 are cached; row 3 is sieved here, rows 4..8 by the workers
-    # in chunks [4, 6) and [6, 9)
-    limit = 8 * SEGMENT_SPAN + 3
-    assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
-    assert starts == [3 * SEGMENT_SPAN]
-    assert len(pool) == 2
-    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
-
-
-def test_pool_leaves_no_worker_after_an_early_stop(pool):
-    for primes_ in PrimeStream(9 * SEGMENT_SPAN).arrays():
-        if primes_[-1] > 2 * SEGMENT_SPAN:
-            break
-    assert len(pool) == 1
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == 1  # the pool's own threads are gone too
-
-
-def test_pool_worker_error_reaches_the_caller(pool, monkeypatch, capsys):
-    from stringprime import cli
-
-    def failing(limit, span=SEGMENT_SPAN, start=0):
-        if start >= SEGMENT_SPAN:  # only the workers' chunks fail
-            raise MemoryError("no room for the marks")
-        return _sieve_segments(limit, span, start)
-
-    monkeypatch.setattr(primes, "_sieve_segments", failing)
-    with pytest.raises(MemoryError, match="no room"):
-        prime_count(6 * SEGMENT_SPAN)
-    assert multiprocessing.active_children() == []
-    assert cli.main(["density", "--pattern", "7", "--exponents", "7"]) == cli.EXIT_INTERNAL
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("internal error: MemoryError(") and err.count("\n") == 1
-    assert len(pool) == 2
-    assert multiprocessing.active_children() == []
-
-
-def test_pool_workers_ignore_sigint(pool, monkeypatch):
-    # Ctrl-C reaches the whole process group; only the parent acts on it
-    def checked(limit, span=SEGMENT_SPAN, start=0):
-        if start >= SEGMENT_SPAN and signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
-            raise AssertionError("a worker would take SIGINT")
-        return _sieve_segments(limit, span, start)
-
-    monkeypatch.setattr(primes, "_sieve_segments", checked)
-    assert prime_count(4 * SEGMENT_SPAN) == int(plain_sieve(4 * SEGMENT_SPAN).sum())
-    assert len(pool) == 1
-
-
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    return lambda: None
-
-
-def _no_fork(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-    return lambda: None
-
-
-def _live_thread(monkeypatch):
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-
-    def stop():
-        done.set()
-        thread.join(5)
-        assert not thread.is_alive()
-
-    return stop
-
-
-@pytest.mark.parametrize("condition", [_one_cpu, _no_fork, _live_thread])
-def test_pool_falls_back_to_sieving_here(pool, monkeypatch, condition):
-    stop = condition(monkeypatch)
-    try:
-        assert primes._pool_workers() == 1
-        limit = 6 * SEGMENT_SPAN + 7
-        assert np.array_equal(np.concatenate(list(PrimeStream(limit).arrays())), np.flatnonzero(plain_sieve(limit)))
-    finally:
-        stop()
-    assert pool == []
-
-
-def test_no_pool_below_the_break_even(executors, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    consulted = []
-    monkeypatch.setattr(primes, "_pool_workers", lambda: consulted.append(1) or 2)
-    limit = primes._POOL_BREAK_EVEN * SEGMENT_SPAN - 1
-    assert prime_count(limit) == int(plain_sieve(limit).sum())
-    assert consulted == [] and executors == []
-    # an early stop in a range past it starts no worker either
-    for primes_ in PrimeStream(SIEVE_CEILING).arrays():
-        assert primes_[-1] == 1_048_573
-        break
-    assert consulted == [] and executors == []
+def test_empty_cache_dir_counts_without_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a cache named "" would land here
+    assert prime_count(10**6, cache_dir="") == 78_498
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- prime_count at every bit of a packed byte ---------------------------------
@@ -726,14 +594,12 @@ def test_no_pool_below_the_break_even(executors, monkeypatch):
 # ends at each bit position of a packed byte (a byte holds 8 odd residents,
 # 16 integers) and at a segment's edges
 EDGE_XS = [2 * SEGMENT_SPAN + r for r in range(18)] + [SEGMENT_SPAN - 1, SEGMENT_SPAN, SEGMENT_SPAN + 1]
-COUNT_PATHS = ["uncached", "cached-grow", "cached-hit", "pooled"]
+COUNT_PATHS = ["uncached", "cached-grow", "cached-hit"]
 
 
-def edge_counts(path, tmp_path, request) -> list[int]:
-    """prime_count at every x of EDGE_XS, by one path through the sieve."""
-    if path == "pooled":
-        request.getfixturevalue("pool")
-    if path in ("uncached", "pooled"):
+def edge_counts(path, tmp_path) -> list[int]:
+    """prime_count at every x of EDGE_XS, by one path."""
+    if path == "uncached":
         return [prime_count(x) for x in EDGE_XS]
     if path == "cached-grow":  # each x sieves into a cache of its own
         return [prime_count(x, cache_dir=tmp_path / str(x)) for x in EDGE_XS]
@@ -742,16 +608,16 @@ def edge_counts(path, tmp_path, request) -> list[int]:
 
 
 @pytest.mark.parametrize("path", COUNT_PATHS)
-def test_prime_count_ends_at_every_bit_of_a_byte(path, tmp_path, request):
+def test_prime_count_ends_at_every_bit_of_a_byte(path, tmp_path):
     counts = np.cumsum(plain_sieve(max(EDGE_XS)))
-    assert edge_counts(path, tmp_path, request) == [int(counts[x]) for x in EDGE_XS]
+    assert edge_counts(path, tmp_path) == [int(counts[x]) for x in EDGE_XS]
 
 
-def test_prime_count_counts_packed_marks(tmp_path, request, monkeypatch):
+def test_prime_count_counts_packed_marks(tmp_path, monkeypatch):
     def unpacked(seg):
         raise AssertionError("prime_count unpacked a segment")
 
     monkeypatch.setattr(primes.SieveSegment, "odd_composite", property(unpacked))
     counts = np.cumsum(plain_sieve(max(EDGE_XS)))
-    for path in COUNT_PATHS:  # "pooled" last: its fixture stays in force
-        assert edge_counts(path, tmp_path / path, request) == [int(counts[x]) for x in EDGE_XS], path
+    for path in COUNT_PATHS:
+        assert edge_counts(path, tmp_path / path) == [int(counts[x]) for x in EDGE_XS], path
