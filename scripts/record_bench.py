@@ -1,13 +1,15 @@
 """Record the benchmark's end-to-end metrics in BENCH_<n>.json.
 
-    python3 scripts/record_bench.py N [--seeds 1 2 3] [--seconds 25]
+    python3 scripts/record_bench.py N
 
 Run from the root of a clean checkout.  For every workload in BENCHMARK.json
-and every seed, one run after another, it runs
+and each of the seeds 1, 2 and 3, one run after another, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-and writes BENCH_<N>.json at the repository root.  Each workload gets the
+with T the run length BENCHMARK.json gives, so that every BENCH file follows
+one protocol and can be compared with the one before it.  It writes
+BENCH_<N>.json at the repository root.  Each workload gets the
 median, minimum and maximum of each end-to-end metric over its runs, every
 run's metrics, and whether every run was correct.  Per-layer metrics are
 null: the traced run wraps public functions from outside the program, so a
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
 
 
 def git(*args: str) -> str:
@@ -40,18 +43,17 @@ def git(*args: str) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("n", type=int, help="number of the BENCH file to write")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=int, default=25)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("STRINGPRIME_CACHE", None)
     bench = {
         "commit": git("rev-parse", "HEAD"),
         "tree_clean": git("status", "--porcelain", "--untracked-files=no") == "",
-        "seeds": args.seeds,
-        "run_seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "run_seconds": seconds,
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "cpus": os.cpu_count(),
@@ -61,9 +63,9 @@ def main(argv=None) -> int:
     }
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+                   "--seconds", str(seconds), "--trace", "0"]
             proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)

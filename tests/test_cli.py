@@ -484,17 +484,23 @@ from stringprime import cli
 loaded = {"import": "numpy" in sys.modules}
 for argv in (["bound", "--l", "6"], ["coupon", "--l", "5"], ["solve-logn", "--b", "57"],
              ["count-avoiders", "--pattern", "12", "--x", "1000"],
-             ["least-prime", "--pattern", "7", "--limit", "100"]):
+             ["least-prime", "--pattern", "7", "--limit", "100"],
+             ["density", "--pattern", "7", "--exponents", "8"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     loaded[argv[0]] = [code, "numpy" in sys.modules]
-loaded["pool"] = sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+loaded["prime_count"] = stringprime.prime_count(10**8, cache_dir=sys.argv[1])
+loaded["one_process"] = sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def test_only_sieving_commands_import_numpy():
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True)
+def test_only_sieving_commands_import_numpy(tmp_path):
+    # density and the cached count each sieve 96 segments of 2^20 integers,
+    # the scan in memory and the count into a cache; both stay in one process
+    env = {k: v for k, v in os.environ.items() if k != "STRINGPRIME_CACHE"}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "import": False,
@@ -503,25 +509,7 @@ def test_only_sieving_commands_import_numpy():
         "solve-logn": [0, False],
         "count-avoiders": [0, False],
         "least-prime": [0, True],
-        "pool": [],
+        "density": [0, True],
+        "prime_count": 5_761_455,
+        "one_process": [],
     }
-
-
-_ONE_PROCESS_PROBE = """
-import contextlib, io, json, sys
-from stringprime import cli, prime_count
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["density", "--pattern", "7", "--exponents", "8"])
-count = prime_count(10**8, cache_dir=sys.argv[1])
-print(json.dumps([code, count, sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)]))
-"""
-
-
-def test_large_sieves_and_counts_run_in_one_process(tmp_path):
-    # both sieve 96 segments of 2^20 integers, the scan in memory and the
-    # count into a cache
-    env = {k: v for k, v in os.environ.items() if k != "STRINGPRIME_CACHE"}
-    proc = subprocess.run([sys.executable, "-c", _ONE_PROCESS_PROBE, str(tmp_path)], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 5_761_455, []]
