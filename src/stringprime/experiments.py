@@ -172,9 +172,9 @@ def find_prime_ap(
     """A k-term arithmetic progression of primes <= limit all containing the
     pattern, or None.
 
-    Searches ascending first term, then ascending difference, over the
-    filtered list of containing primes; the first hit is returned, with no
-    minimality claim beyond that ordering.
+    Searches ascending first term, then ascending difference, over one
+    sorted int64 array of the containing primes (8 bytes each); the first
+    hit is returned, with no minimality claim beyond that ordering.
     """
     if k < 3:
         raise DomainError("progression length k must be >= 3")
@@ -182,19 +182,18 @@ def find_prime_ap(
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
     stream = primes_up_to(limit, cache_dir=cache_dir).arrays()
-    candidates = np.concatenate([a[_containing(a, text)] for a in stream]).tolist()
-    member = set(candidates)
-    for i, a in enumerate(candidates):
-        max_d = (limit - a) // (k - 1)
-        if max_d < 1:
-            break
-        for b in candidates[i + 1 :]:
-            d = b - a
-            if d > max_d:
-                break
-            if all(a + j * d in member for j in range(2, k)):
-                terms = tuple(a + j * d for j in range(k))
-                return APResult(first_term=a, difference=d, length=k, terms=terms)
+    c = np.concatenate([a[_containing(a, text)] for a in stream])
+    for i in range(c.size):
+        a = int(c[i])
+        # every difference whose last term stays <= limit, ascending; keep
+        # those whose further terms are containing primes
+        d = c[i + 1 : np.searchsorted(c, a + (limit - a) // (k - 1), "right")] - a
+        for j in range(2, k):
+            t = a + j * d
+            d = d[c[np.searchsorted(c, t).clip(max=c.size - 1)] == t]
+        if d.size:
+            d = int(d[0])
+            return APResult(first_term=a, difference=d, length=k, terms=tuple(a + j * d for j in range(k)))
     return None
 
 

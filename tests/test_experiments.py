@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -32,6 +33,20 @@ def scalar_containing(text: str, limit: int) -> list[int]:
     return [p for p in primes_up_to(limit) if text in str(p)]
 
 
+def scalar_ap(hits: list[int], k: int, limit: int):
+    """The first (a, d), by ascending a and then ascending d, with every
+    a + j*d for j < k in hits and a + (k-1)*d <= limit; or None."""
+    member = set(hits)
+    for i, a in enumerate(hits):
+        for b in hits[i + 1 :]:
+            d = b - a
+            if a + (k - 1) * d > limit:
+                break
+            if all(a + j * d in member for j in range(2, k)):
+                return a, d
+    return None
+
+
 def scalar_coverage(length: int, limit: int):
     """(m, last string, {string: first containing prime}) or None."""
     lo = 10 ** (length - 1)
@@ -54,13 +69,9 @@ def test_scans_match_scalar_reference(text, limit):
     assert least_prime_containing(text, limit) == (hits[0] if hits else None)
     rep = relative_density(text, limit)
     assert (rep.pi_n, rep.containing) == (len(list(primes_up_to(limit))), len(hits))
-    ap = find_prime_ap(text, 3, limit)
-    member = set(hits)
-    expected = next(
-        ((a, b - a) for i, a in enumerate(hits) for b in hits[i + 1 :] if 2 * b - a in member and 2 * b - a <= limit),
-        None,
-    )
-    assert (ap and (ap.first_term, ap.difference)) == expected
+    for k in range(3, 7):
+        ap = find_prime_ap(text, k, limit)
+        assert (k, ap and (ap.first_term, ap.difference)) == (k, scalar_ap(hits, k, limit))
 
 
 @pytest.mark.parametrize("length, limit", [(1, 82), (1, 83), (2, 10_000), (3, 50_410), (3, 100_000), (4, 10**6)])
@@ -265,6 +276,19 @@ def test_ap_not_found():
 def test_ap_search_stops_when_no_difference_fits():
     # the only candidate is the limit itself, so its largest difference is 0
     assert find_prime_ap("7", 3, 7) is None
+
+
+def test_ap_search_holds_one_array_of_candidates():
+    # about 400k containing primes at 8 bytes, held twice, plus one
+    # segment's work arrays; a list and a set of them took about 40 MB
+    find_prime_ap("1", 3, 10**4)
+    tracemalloc.start()
+    try:
+        assert find_prime_ap("1", 3, 10**7).terms == (11, 41, 71)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**7
 
 
 def test_ap_domain():
