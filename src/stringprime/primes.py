@@ -29,10 +29,11 @@ SEGMENT_SPAN = 1 << 20
 SIEVE_CEILING = 10**9
 
 _CACHE_MAGIC = b"SPSV"
-_CACHE_VERSION = 4
-# magic, version, span, covered integers, CRC-32 of the table that follows:
-# one little-endian CRC-32 per packed segment row, then the rows themselves
-_CACHE_HEADER = struct.Struct("<4sIQQI")
+_CACHE_VERSION = 5
+# magic, version, span, covered integers; then one record per segment: its
+# packed row, then the row's little-endian CRC-32
+_CACHE_HEADER = struct.Struct("<4sIQQ")
+_CACHE_RECORD = SEGMENT_SPAN // 16 + 4
 _CACHE_FILENAME = "sieve.spsv"
 
 # The odd multiples of these primes repeat every T = 3*5*7*11*13 odd indices,
@@ -134,19 +135,13 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir else None
 
     def segments(self) -> Iterator[SieveSegment]:
-        if self._cache_dir is None:
-            yield from _sieve_segments(self.limit)
-            return
-        need = self.limit // SEGMENT_SPAN + 1
-        rows = _read_cache(self._cache_dir, need)
-        if len(rows) < need:
-            # sieve only the missing segments, each exact to its end, which a
-            # larger limit may read
-            more = _sieve_segments(need * SEGMENT_SPAN - 1, start=len(rows) * SEGMENT_SPAN)
-            rows += [seg.packed for seg in more]
-            _write_cache(self._cache_dir, rows)
-        for i, row in enumerate(rows):
-            yield SieveSegment(i * SEGMENT_SPAN, SEGMENT_SPAN, row)
+        start = 0  # the first segment the cache did not give
+        if self._cache_dir is not None:
+            for row in _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1):
+                yield SieveSegment(start, SEGMENT_SPAN, row)
+                start += SEGMENT_SPAN
+        if start <= self.limit:
+            yield from _sieve_segments(self.limit, start=start)
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
@@ -275,77 +270,80 @@ def is_prime(n: int) -> bool:
 # --- sieve segment cache (optional, "SPSV" files) ---------------------------
 
 
-def _cache_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, _CACHE_FILENAME)
+def _record(fh) -> np.ndarray | None:
+    """The packed row of the next record in fh, or None if the record is short
+    or fails its CRC-32."""
+    record = fh.read(_CACHE_RECORD)
+    if len(record) < _CACHE_RECORD or zlib.crc32(memoryview(record)[:-4]) != int.from_bytes(record[-4:], "little"):
+        return None
+    return np.frombuffer(record, dtype=np.uint8, count=_CACHE_RECORD - 4)
 
 
-def _read_cache(cache_dir: str, need: int) -> list[np.ndarray]:
-    """The checked packed rows, one per segment, that the file holds towards
-    a request for `need` segments: the first `need` rows, or every row when
-    the file is shorter.  Empty if the file is missing, cannot be read (a
-    warning) or is unusable.
+def _cached_rows(cache_dir: str, need: int) -> Iterator[np.ndarray]:
+    """The first `need` packed rows of the cache in cache_dir, one checked
+    record at a time; a record that fails its check ends them, and the
+    caller sieves the rest.
 
-    A bad header, file size or table CRC-32 marks the whole file corrupt: it
-    is ignored with a warning and the range is recomputed.  A row read with a
-    bad CRC-32 is warned about too, and the checked rows before it are kept.
-    Rows a request does not need are never read.
+    The needed records are checked first, and records past them are never
+    read; a bad header, file size or CRC-32 is a warning.  If a needed
+    record is missing or damaged, a new file replaces the old one before the
+    first row is yielded: the checked records copied byte for byte, then each
+    sieved record as it is made.  A failed write is a warning and yields no row.
     """
-    path = _cache_path(cache_dir)
-    width = SEGMENT_SPAN // 16  # bytes per packed row
+    path = os.path.join(cache_dir, _CACHE_FILENAME)
+    good = 0  # leading needed records that pass their check
     try:
         with open(path, "rb") as fh:
             header = fh.read(_CACHE_HEADER.size)
             if len(header) < _CACHE_HEADER.size:
                 raise ValueError("truncated header")
-            magic, version, span, covered, crc = _CACHE_HEADER.unpack(header)
+            magic, version, span, covered = _CACHE_HEADER.unpack(header)
             if magic != _CACHE_MAGIC:
                 raise ValueError("bad magic")
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported version {version}")
             if span != SEGMENT_SPAN or covered % span:
                 raise ValueError("inconsistent header geometry")
-            total = covered // span
-            if os.fstat(fh.fileno()).st_size != _CACHE_HEADER.size + total * (4 + width):
+            if os.fstat(fh.fileno()).st_size != _CACHE_HEADER.size + covered // span * _CACHE_RECORD:
                 raise ValueError("wrong file size")
-            table = fh.read(4 * total)
-            if zlib.crc32(table) != crc:
-                raise ValueError("segment table checksum mismatch")
-            count = min(total, need)
-            # a short read fails the reshape
-            rows = list(np.frombuffer(fh.read(count * width), dtype=np.uint8).reshape(count, width))
+            while good < min(covered // span, need) and _record(fh) is not None:
+                good += 1
+            if good < min(covered // span, need):
+                raise ValueError(f"segment {good} checksum mismatch")
     except FileNotFoundError:
-        return []
+        pass
     except OSError as exc:
         print(f"stringprime: cannot read sieve cache {path}: {exc}", file=sys.stderr)
-        return []
     except ValueError as exc:
-        print(f"stringprime: ignoring corrupt sieve cache {path}: {exc}", file=sys.stderr)
-        return []
-    for i, (row, (row_crc,)) in enumerate(zip(rows, struct.iter_unpack("<I", table))):
-        if zlib.crc32(row) != row_crc:
-            print(f"stringprime: corrupt sieve cache {path}: segment {i} checksum mismatch", file=sys.stderr)
-            return rows[:i]
-    return rows
-
-
-def _write_cache(cache_dir: str, rows: list[np.ndarray]) -> None:
-    """Persist the packed rows atomically; a failed write is a warning, never
-    an error."""
-    table = struct.pack(f"<{len(rows)}I", *(zlib.crc32(row) for row in rows))
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
+        print(f"stringprime: corrupt sieve cache {path}: {exc}", file=sys.stderr)
+    if good < need:
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_CACHE_HEADER.pack(
-                    _CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, len(rows) * SEGMENT_SPAN, zlib.crc32(table)
-                ))
-                fh.write(table)
-                fh.writelines(rows)
-            os.replace(tmp, _cache_path(cache_dir))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)  # no partial file is left behind
-            raise
-    except OSError as exc:
-        print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
+            try:
+                with os.fdopen(fd, "wb") as out:
+                    out.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, need * SEGMENT_SPAN))
+                    if good:
+                        with open(path, "rb") as fh:
+                            fh.seek(_CACHE_HEADER.size)
+                            for _ in range(good):
+                                out.write(fh.read(_CACHE_RECORD))
+                    # sieved exact to each segment's end, which a larger limit may read
+                    for seg in _sieve_segments(need * SEGMENT_SPAN - 1, start=good * SEGMENT_SPAN):
+                        out.write(seg.packed)
+                        out.write(zlib.crc32(seg.packed).to_bytes(4, "little"))
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)  # no partial file is left behind
+                raise
+        except OSError as exc:
+            print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
+            return
+    # read back and check again: the file may have changed since
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        fh.seek(_CACHE_HEADER.size)
+        for _ in range(need):
+            if (row := _record(fh)) is None:
+                return
+            yield row

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import struct
 import tracemalloc
 import zlib
 
@@ -372,15 +373,14 @@ def test_cache_of_the_wrong_size_is_rewritten(tmp_path, capsys, resize):
 
 
 def packed_oracle(limit: int) -> bytes:
-    """A version 4 cache file covering [0, limit] in whole segments: the
-    header, one CRC-32 per packed row, then the rows."""
+    """A version 5 cache file covering [0, limit] in whole segments: the
+    header, then each packed row followed by its little-endian CRC-32."""
     covered = (limit // SEGMENT_SPAN + 1) * SEGMENT_SPAN
     payload = np.packbits(~plain_sieve(covered - 1)[1::2]).tobytes()
     width = SEGMENT_SPAN // 16
-    table = b"".join(
-        zlib.crc32(payload[i : i + width]).to_bytes(4, "little") for i in range(0, len(payload), width)
-    )
-    return _CACHE_HEADER.pack(_CACHE_MAGIC, 4, SEGMENT_SPAN, covered, zlib.crc32(table)) + table + payload
+    rows = [payload[i : i + width] for i in range(0, len(payload), width)]
+    records = b"".join(row + zlib.crc32(row).to_bytes(4, "little") for row in rows)
+    return _CACHE_HEADER.pack(_CACHE_MAGIC, 5, SEGMENT_SPAN, covered) + records
 
 
 def damage(path, offset: int) -> None:
@@ -389,9 +389,9 @@ def damage(path, offset: int) -> None:
     path.write_bytes(bytes(data))
 
 
-def row_offset(rows: int, i: int) -> int:
-    """File offset of packed row i in a cache of `rows` rows."""
-    return _CACHE_HEADER.size + 4 * rows + i * SEGMENT_SPAN // 16
+def row_offset(i: int) -> int:
+    """File offset of packed row i; its CRC-32 follows the row."""
+    return _CACHE_HEADER.size + i * (SEGMENT_SPAN // 16 + 4)
 
 
 @pytest.mark.parametrize("limit", [1_000, SEGMENT_SPAN + 1, 3 * SEGMENT_SPAN + 7])
@@ -419,7 +419,7 @@ def test_cache_grow_sieves_only_the_missing_segments(tmp_path, monkeypatch):
 def test_cache_damage_before_a_grow_is_detected(tmp_path, capsys):
     assert prime_count(2 * SEGMENT_SPAN + 1, cache_dir=tmp_path) == int(plain_sieve(2 * SEGMENT_SPAN + 1).sum())
     path = tmp_path / "sieve.spsv"
-    damage(path, row_offset(3, 0) + 1_000)
+    damage(path, row_offset(0) + 1_000)
     limit = 3 * SEGMENT_SPAN + 7
     assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
     assert "corrupt" in capsys.readouterr().err
@@ -430,7 +430,7 @@ def test_cache_row_damage_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys
     limit = 3 * SEGMENT_SPAN + 7
     assert prime_count(limit, cache_dir=tmp_path) == int(plain_sieve(limit).sum())
     path = tmp_path / "sieve.spsv"
-    damage(path, row_offset(4, 2) + 1_000)
+    damage(path, row_offset(2) + 1_000)
     starts = []
 
     def spy(limit, span=SEGMENT_SPAN, start=0):
@@ -444,11 +444,17 @@ def test_cache_row_damage_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys
     assert path.read_bytes() == packed_oracle(limit)
 
 
-def test_cache_table_damage_is_detected_by_any_hit(tmp_path, capsys):
-    prime_count(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path)
-    damage(tmp_path / "sieve.spsv", _CACHE_HEADER.size + 4 * 3)  # the last row's CRC-32
-    assert prime_count(1_000, cache_dir=tmp_path) == 168
+def test_cache_crc_damage_is_detected_by_a_hit_that_reads_the_row(tmp_path, capsys):
+    limit = 3 * SEGMENT_SPAN + 7
+    counts = np.cumsum(plain_sieve(limit))
+    assert prime_count(limit, cache_dir=tmp_path) == counts[limit]
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(3) + SEGMENT_SPAN // 16)  # the last row's CRC-32
+    assert prime_count(3 * SEGMENT_SPAN - 1, cache_dir=tmp_path) == counts[3 * SEGMENT_SPAN - 1]
+    assert capsys.readouterr().err == ""
+    assert prime_count(limit, cache_dir=tmp_path) == counts[limit]
     assert "corrupt" in capsys.readouterr().err
+    assert path.read_bytes() == packed_oracle(limit)
 
 
 def test_cache_damage_in_a_row_not_read_is_silent(tmp_path, capsys):
@@ -456,7 +462,7 @@ def test_cache_damage_in_a_row_not_read_is_silent(tmp_path, capsys):
     counts = np.cumsum(plain_sieve(limit))
     assert prime_count(limit, cache_dir=tmp_path) == counts[limit]
     path = tmp_path / "sieve.spsv"
-    damage(path, row_offset(4, 3) + 5)
+    damage(path, row_offset(3) + 5)
     # a hit below the last row never reads it
     assert prime_count(3 * SEGMENT_SPAN - 1, cache_dir=tmp_path) == counts[3 * SEGMENT_SPAN - 1]
     assert capsys.readouterr().err == ""
@@ -496,6 +502,68 @@ def test_cached_grow_holds_one_bit_per_odd(tmp_path):
     assert peak < limit // 4
 
 
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_hit_holds_a_few_rows(tmp_path):
+    # a hit checks and reads back one record at a time, never the whole file
+    assert prime_count(3 * 10**7, cache_dir=tmp_path) == 1_857_859
+    assert traced_peak(lambda: prime_count(3 * 10**7, cache_dir=tmp_path)) < 500_000
+
+
+def test_cache_grow_streams_its_rows(tmp_path):
+    # the old rows are copied and the sieved ones appended one record at a time
+    assert prime_count(10**7, cache_dir=tmp_path) == 664_579
+    assert traced_peak(lambda: prime_count(3 * 10**7, cache_dir=tmp_path)) < 1_500_000
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(3 * 10**7)
+
+
+def test_cache_record_failing_its_read_back_is_sieved(tmp_path, monkeypatch):
+    limit = 3 * SEGMENT_SPAN + 7
+    list(primes_up_to(limit, cache_dir=tmp_path))
+    seen = []
+    record = primes._record
+
+    def flaky(fh):
+        # row 1 passes its check, then fails when it is read back
+        seen.append(fh.tell())
+        return None if seen.count(row_offset(1)) == 2 else record(fh)
+
+    starts = []
+
+    def spy(limit, span=SEGMENT_SPAN, start=0):
+        starts.append(start)
+        return _sieve_segments(limit, span, start)
+
+    monkeypatch.setattr(primes, "_record", flaky)
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    assert list(primes_up_to(limit, cache_dir=tmp_path)) == np.flatnonzero(plain_sieve(limit)).tolist()
+    assert seen.count(row_offset(1)) == 2
+    assert starts == [SEGMENT_SPAN]
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)  # a hit, not a rewrite
+
+
+def test_cache_version_4_is_rewritten(tmp_path, capsys):
+    # the version 4 layout: a CRC-32 per row in one table, with its own
+    # CRC-32 in the header, before the rows
+    row = np.packbits(~plain_sieve(SEGMENT_SPAN - 1)[1::2]).tobytes()
+    table = zlib.crc32(row).to_bytes(4, "little")
+    path = tmp_path / "sieve.spsv"
+    header = struct.pack("<4sIQQI", _CACHE_MAGIC, 4, SEGMENT_SPAN, SEGMENT_SPAN, zlib.crc32(table))
+    path.write_bytes(header + table + row)
+    assert list(primes_up_to(10_000, cache_dir=tmp_path)) == trial_division_primes(10_000)
+    assert capsys.readouterr().err.count("unsupported version 4") == 1
+    assert path.read_bytes() == packed_oracle(10_000)
+    assert prime_count(10_000, cache_dir=tmp_path) == 1_229
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("field,value", [("version", 2), ("version", _CACHE_VERSION - 1), ("span", 8)])
 def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
     # older versions, or a span whose segments are not whole bytes
@@ -503,8 +571,7 @@ def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
     header[field] = value
     payload = bytes(header["covered"] // 16)
     (tmp_path / "sieve.spsv").write_bytes(
-        _CACHE_HEADER.pack(_CACHE_MAGIC, header["version"], header["span"], header["covered"], zlib.crc32(payload))
-        + payload
+        _CACHE_HEADER.pack(_CACHE_MAGIC, header["version"], header["span"], header["covered"]) + payload
     )
     assert prime_count(10_000, cache_dir=tmp_path) == 1_229
     assert "corrupt" in capsys.readouterr().err
