@@ -564,7 +564,7 @@ def test_cache_version_4_is_rewritten(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("field,value", [("version", 2), ("version", _CACHE_VERSION - 1), ("span", 8)])
+@pytest.mark.parametrize("field,value", [("version", 2), ("version", 3), ("version", _CACHE_VERSION - 1), ("span", 8)])
 def test_cache_bad_header_is_rejected(tmp_path, capsys, field, value):
     # older versions, or a span whose segments are not whole bytes
     header = {"version": _CACHE_VERSION, "span": 16, "covered": 2 * SEGMENT_SPAN}
