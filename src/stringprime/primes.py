@@ -15,6 +15,7 @@ import os
 import struct
 import sys
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -53,7 +54,8 @@ class SieveSegment:
     """One sieved block [base, base + span).
 
     `packed` is np.packbits of the block's odd-composite marks, the form the
-    sieve yields and the cache stores.  `odd_composite` unpacks it:
+    sieve yields and the cache stores; it may be a read-only view of a row
+    kept for the process and shared by every stream, exact to the block's end.  `odd_composite` unpacks it:
     `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
     sieved limit is prime iff unmarked.  base is always a multiple of the
     span (hence even).
@@ -118,12 +120,39 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
             yield SieveSegment(base + span, span, np.packbits(marks[half:]))
 
 
+# Without a cache directory, the segments below this bound are sieved once per
+# process and kept: 2^24 covers Table 1 (M(5) < 10^7) and the scans to 10^7,
+# which stream the same segments again and again.  The rows share one block,
+# not one array each, so that they do not pin the heap; each row is sieved
+# exact to its segment's end, so it serves any limit.
+_KEPT_BELOW = 1 << 24
+_kept = np.empty((_KEPT_BELOW // SEGMENT_SPAN, SEGMENT_SPAN // 16), dtype=np.uint8)
+# what streams get: a face of the block that no view of it can make writable
+_kept_shared = np.frombuffer(memoryview(_kept).toreadonly(), dtype=np.uint8).reshape(_kept.shape)
+_kept_rows = 0  # leading rows of the block sieved so far
+_kept_lock = threading.Lock()
+
+
+def _kept_row(i: int) -> np.ndarray:
+    """Packed row i of the kept block, sieved first if it is not yet kept."""
+    global _kept_rows
+    if i >= _kept_rows:
+        with _kept_lock:  # a row another stream kept meanwhile is not sieved again
+            for seg in _sieve_segments((i + 1) * SEGMENT_SPAN - 1, start=_kept_rows * SEGMENT_SPAN):
+                _kept[seg.base // SEGMENT_SPAN] = seg.packed
+                _kept_rows += 1
+    return _kept_shared[i]
+
+
 class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
     When `cache_dir` is given and not empty, sieved odd-composite marks are
     read from / written to an on-disk cache; the cache is an optimization
     only and a missing or corrupt file never changes the yielded primes.
+    Without one, the segments below 2^24 come from rows kept for the
+    process: their `packed` is a read-only view shared by every stream and
+    thread, exact to the segment's end.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -135,11 +164,14 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir else None
 
     def segments(self) -> Iterator[SieveSegment]:
-        start = 0  # the first segment the cache did not give
         if self._cache_dir is not None:
-            for row in _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1):
-                yield SieveSegment(start, SEGMENT_SPAN, row)
-                start += SEGMENT_SPAN
+            rows = _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1)
+        else:
+            rows = map(_kept_row, range(min(self.limit, _KEPT_BELOW - 1) // SEGMENT_SPAN + 1))
+        start = 0  # the first segment the rows did not give
+        for row in rows:
+            yield SieveSegment(start, SEGMENT_SPAN, row)
+            start += SEGMENT_SPAN
         if start <= self.limit:
             yield from _sieve_segments(self.limit, start=start)
 

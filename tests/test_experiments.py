@@ -153,6 +153,27 @@ def test_coverage_builds_no_digit_strings_but_the_last(monkeypatch):
     assert len(built) == 2  # the lookup key above; the lookup itself builds none
 
 
+# the primes on each side of every power of ten below 10^9
+EDGE_PRIMES = sorted(
+    {next(n for n in range(10**d - 1, 1, -1) if is_prime(n)) for d in range(1, 10)}
+    | {next(n for n in range(10**d + 1, 10 ** (d + 1)) if is_prime(n)) for d in range(1, 9)}
+)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_windows_match_digit_slices(length):
+    # each prefix of EDGE_PRIMES ends at a digit count of its own; the
+    # windows of a shorter prime read its digits zero-padded to the longest
+    for top in range(len(EDGE_PRIMES) + 1):
+        primes = np.array(EDGE_PRIMES[:top], dtype=np.int64)
+        digits = len(str(primes.max(initial=0)))
+        padded = [str(p).zfill(digits) for p in EDGE_PRIMES[:top]]
+        expected = [[int(s[i : i + length]) for i in range(digits - length + 1)] for s in padded]
+        wins = experiments._windows(primes, length)
+        assert wins.dtype == np.int32 and wins.shape == (top, max(digits - length + 1, 0))
+        assert wins.tolist() == expected
+
+
 def test_cli_coverage_map_matches_scalar_reference(tmp_path, capsys):
     path = tmp_path / "map.csv"
     assert main(["coverage", "--l", "4", "--limit", str(10**6), "--save-map", str(path)]) == 0

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import struct
+import threading
 import tracemalloc
 import zlib
 
@@ -16,6 +17,7 @@ from stringprime.primes import (
     _CACHE_HEADER,
     _CACHE_MAGIC,
     _CACHE_VERSION,
+    _KEPT_BELOW,
     SEGMENT_SPAN,
     SIEVE_CEILING,
     PrimeStream,
@@ -106,6 +108,81 @@ def test_arrays_last_segment_may_be_empty():
     assert list(PrimeStream(limit).arrays())[-1].size == 0
     assert list(primes_up_to(limit)) == list(primes_up_to(SEGMENT_SPAN))
     assert prime_mask(limit).sum() == prime_count(SEGMENT_SPAN)
+
+
+# --- segments below 2^24, kept for the process --------------------------------
+
+
+@pytest.fixture
+def cold_block(monkeypatch):
+    """An empty block of kept rows in place of the process's own."""
+    block = np.empty_like(primes._kept)
+    monkeypatch.setattr(primes, "_kept", block)
+    monkeypatch.setattr(primes, "_kept_shared", np.frombuffer(memoryview(block).toreadonly(), dtype=np.uint8).reshape(block.shape))
+    monkeypatch.setattr(primes, "_kept_rows", 0)
+
+
+def stream_primes(limit: int) -> np.ndarray:
+    return np.concatenate(list(primes_up_to(limit).arrays()))
+
+
+def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
+    list(PrimeStream(_KEPT_BELOW - 1).segments())
+
+    def sieve(*args, **kwargs):
+        raise AssertionError("a kept row was sieved again")
+
+    monkeypatch.setattr(primes, "_sieve_segments", sieve)
+    assert stream_primes(10**7).size == 664_579
+    assert np.array_equal(stream_primes(_KEPT_BELOW - 1), np.flatnonzero(plain_sieve(_KEPT_BELOW - 1)))
+
+
+@pytest.mark.parametrize("limit", [2, 2**20 - 1, 2**20, 2**20 + 1, 2**24 - 1, 2**24, 2**24 + 1])
+def test_kept_rows_match_oracle(limit, cold_block):
+    expected = np.flatnonzero(plain_sieve(limit))
+    assert np.array_equal(stream_primes(limit), expected)  # sieves the rows
+    assert np.array_equal(stream_primes(limit), expected)  # reads them back
+
+
+def test_kept_row_is_read_only():
+    seg = next(PrimeStream(SEGMENT_SPAN).segments())
+    with pytest.raises(ValueError):
+        seg.packed[0] = 0xFF
+    with pytest.raises(ValueError):
+        seg.packed.flags.writeable = True
+    assert np.array_equal(stream_primes(SEGMENT_SPAN), np.flatnonzero(plain_sieve(SEGMENT_SPAN)))
+
+
+def test_threads_share_a_cold_block(cold_block, monkeypatch):
+    sieve, made = primes._sieve_segments, []
+
+    def spy(*args, **kwargs):
+        for seg in sieve(*args, **kwargs):
+            made.append(seg.base)
+            yield seg
+
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    limit = 3 * 2**20
+    start, got = threading.Barrier(4), [None] * 4
+
+    def run(i):
+        start.wait()
+        got[i] = stream_primes(limit)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    expected = np.flatnonzero(plain_sieve(limit))
+    assert all(np.array_equal(g, expected) for g in got)
+    assert sorted(made) == [k * SEGMENT_SPAN for k in range(4)]  # each row sieved once
+
+
+def test_kept_rows_are_views_of_one_block():
+    first, second = (seg.packed for seg in PrimeStream(2 * SEGMENT_SPAN - 1).segments())
+    assert first.base is second.base and first.base.nbytes == 1 << 20
+    assert not np.shares_memory(first, second)
 
 
 def test_stream_limit_validation():
