@@ -55,10 +55,10 @@ class SieveSegment:
 
     `packed` is np.packbits of the block's odd-composite marks, the form the
     sieve yields and the cache stores; it may be a read-only view of a row
-    kept for the process and shared by every stream, exact to the block's end.  `odd_composite` unpacks it:
-    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
-    sieved limit is prime iff unmarked.  base is always a multiple of the
-    span (hence even).
+    kept for the process and shared by every stream, exact to the block's
+    end.  `odd_composite` unpacks it: `odd_composite[j]` marks base + 2j + 1;
+    an odd resident > 2 up to the sieved limit is prime iff unmarked.  base
+    is always a multiple of the span (hence even).
     """
 
     base: int
