@@ -11,7 +11,10 @@ with T the run length BENCHMARK.json gives, so that every BENCH file follows
 one protocol and can be compared with the one before it.  It writes
 BENCH_<N>.json at the repository root.  Each workload gets the
 median, minimum and maximum of each end-to-end metric over its runs, every
-run's metrics, and whether every run was correct.  Per-layer metrics are
+run's metrics with the summary line the run printed to stderr, verbatim,
+and whether every run was correct.  That line holds the uncalibrated times
+and the reference-import time, so a reader can see the box's speed beside
+each metric when comparing files recorded hours apart.  Per-layer metrics are
 null: the traced run wraps public functions from outside the program, so a
 layer it does not reach reads 0, which would say "free", not "not measured".
 The file also records the commit, the seeds, the run length, the Python and
@@ -71,9 +74,11 @@ def main(argv=None) -> int:
                 sys.stderr.write(proc.stderr)
                 raise SystemExit(f"record_bench: {workload} seed {seed} exited {proc.returncode}")
             summary = json.loads(proc.stdout.splitlines()[-1])
+            line = next((ln for ln in proc.stderr.splitlines() if ln.startswith(f"{workload} seed {seed}: ")), None)
             runs.append({"seed": seed, "correct": summary["correct"], "attempted": summary["attempted"],
                          "failed": summary["failed"],
-                         "metrics": {k: m["value"] for k, m in summary["metrics"].items()}})
+                         "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
+                         "stderr_summary": line})
             print(f"{workload} seed {seed}: {runs[-1]['metrics']}", file=sys.stderr)
         end_to_end = {}
         for metric in spec["end_to_end"]:

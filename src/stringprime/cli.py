@@ -210,7 +210,7 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
                         help="must be >= 1; never changes output")
     common.add_argument("--cache-dir", default=d(os.environ.get("STRINGPRIME_CACHE")), metavar="PATH",
                         help="directory for the sieve segment cache "
-                             "(default $STRINGPRIME_CACHE; unset = in-memory: the segments "
+                             "(default $STRINGPRIME_CACHE; unset = in-memory: the primes "
                              "below 2^24 are sieved once per process, the rest per request)")
     common.add_argument("--seed-check", action="store_true", default=d(False),
                         help="run the invariant self-test battery first")

@@ -261,7 +261,10 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
     hit = np.zeros(primes.size, dtype=bool)
     p = primes.astype(np.int32)
     for _ in range(len(str(primes.max(initial=0))) - length + 1):
-        hit |= (p >= 10 ** (length - 1)) & (p % 10**length == int(text))
+        match = p % 10**length == int(text)
+        if text[0] == "0":  # a window equal to a nonzero-led text already lies inside the prime
+            match &= p >= 10 ** (length - 1)
+        hit |= match
         p //= 10
     return hit
 

@@ -9,6 +9,7 @@ throughout.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -54,11 +55,10 @@ class SieveSegment:
     """One sieved block [base, base + span).
 
     `packed` is np.packbits of the block's odd-composite marks, the form the
-    sieve yields and the cache stores; it may be a read-only view of a row
-    kept for the process and shared by every stream, exact to the block's
-    end.  `odd_composite` unpacks it: `odd_composite[j]` marks base + 2j + 1;
-    an odd resident > 2 up to the sieved limit is prime iff unmarked.  base
-    is always a multiple of the span (hence even).
+    sieve yields and the cache stores.  `odd_composite` unpacks it:
+    `odd_composite[j]` marks base + 2j + 1; an odd resident > 2 up to the
+    sieved limit is prime iff unmarked.  base is always a multiple of the
+    span (hence even).
     """
 
     base: int
@@ -120,28 +120,33 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
             yield SieveSegment(base + span, span, np.packbits(marks[half:]))
 
 
-# Without a cache directory, the segments below this bound are sieved once per
-# process and kept: 2^24 covers Table 1 (M(5) < 10^7) and the scans to 10^7,
-# which stream the same segments again and again.  The rows share one block,
-# not one array each, so that they do not pin the heap; each row is sieved
-# exact to its segment's end, so it serves any limit.
+def _primes_of(seg: SieveSegment) -> np.ndarray:
+    """The primes of seg, ascending int64, 2 leading segment 0; exact up to the limit seg was sieved to."""
+    # flatnonzero is several times slower on uint8 than on bool
+    primes = seg.base + 1 + 2 * np.flatnonzero(np.unpackbits(~seg.packed, count=seg.span // 2).view(bool))
+    if seg.base == 0:
+        primes = np.concatenate(([2], primes))
+    return primes
+
+
+# Without a cache directory, the primes below 2^24 are kept for the process:
+# Table 1 (M(5) < 10^7) and the scans to 10^7 stream them again and again.
+# Row i, the primes of segment i sieved exact to its end, is _kept[_kept_ends[i] : _kept_ends[i + 1]].
 _KEPT_BELOW = 1 << 24
-_kept = np.empty((_KEPT_BELOW // SEGMENT_SPAN, SEGMENT_SPAN // 16), dtype=np.uint8)
-# what streams get: a face of the block that no view of it can make writable
-_kept_shared = np.frombuffer(memoryview(_kept).toreadonly(), dtype=np.uint8).reshape(_kept.shape)
-_kept_rows = 0  # leading rows of the block sieved so far
+_kept = np.empty(1_077_871, dtype=np.int32)  # pi(2^24 - 1); np.empty touches no page before its row fills
+_kept_ends = [0]  # a row's end is appended only after its primes are written
 _kept_lock = threading.Lock()
 
 
-def _kept_row(i: int) -> np.ndarray:
-    """Packed row i of the kept block, sieved first if it is not yet kept."""
-    global _kept_rows
-    if i >= _kept_rows:
+def _kept_primes(i: int) -> np.ndarray:
+    """Row i of the kept block, sieved first if it is not yet kept."""
+    if i + 1 >= len(_kept_ends):
         with _kept_lock:  # a row another stream kept meanwhile is not sieved again
-            for seg in _sieve_segments((i + 1) * SEGMENT_SPAN - 1, start=_kept_rows * SEGMENT_SPAN):
-                _kept[seg.base // SEGMENT_SPAN] = seg.packed
-                _kept_rows += 1
-    return _kept_shared[i]
+            for seg in _sieve_segments((i + 1) * SEGMENT_SPAN - 1, start=(len(_kept_ends) - 1) * SEGMENT_SPAN):
+                primes, end = _primes_of(seg), _kept_ends[-1]
+                _kept[end : end + primes.size] = primes
+                _kept_ends.append(end + primes.size)
+    return _kept[_kept_ends[i] : _kept_ends[i + 1]]
 
 
 class PrimeStream:
@@ -150,9 +155,8 @@ class PrimeStream:
     When `cache_dir` is given and not empty, sieved odd-composite marks are
     read from / written to an on-disk cache; the cache is an optimization
     only and a missing or corrupt file never changes the yielded primes.
-    Without one, the segments below 2^24 come from rows kept for the
-    process: their `packed` is a read-only view shared by every stream and
-    thread, exact to the segment's end.
+    Without one, `segments()` sieves, and `arrays()` copies the primes below
+    2^24 from a block kept for the process and shared by every thread.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -164,12 +168,8 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir else None
 
     def segments(self) -> Iterator[SieveSegment]:
-        if self._cache_dir is not None:
-            rows = _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1)
-        else:
-            rows = map(_kept_row, range(min(self.limit, _KEPT_BELOW - 1) // SEGMENT_SPAN + 1))
-        start = 0  # the first segment the rows did not give
-        for row in rows:
+        start = 0  # the first segment the cache did not give
+        for row in _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1) if self._cache_dir else ():
             yield SieveSegment(start, SEGMENT_SPAN, row)
             start += SEGMENT_SPAN
         if start <= self.limit:
@@ -178,12 +178,12 @@ class PrimeStream:
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
         leading the first; the last array may be empty."""
-        for seg in self.segments():
-            # flatnonzero is several times slower on uint8 than on bool
-            primes = seg.base + 1 + 2 * np.flatnonzero(np.unpackbits(~seg.packed, count=seg.span // 2).view(bool))
-            if seg.base == 0:
-                primes = np.concatenate(([2], primes))
-            yield primes[primes <= self.limit]
+        last = self.limit // SEGMENT_SPAN  # the only segment that reaches past the limit
+        kept = 0 if self._cache_dir else min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
+        segs = self.segments() if self._cache_dir else () if kept > last else _sieve_segments(self.limit, start=_KEPT_BELOW)
+        rows = (_kept_primes(i).astype(np.int64) for i in range(kept))  # copies: the block is never handed out
+        for i, primes in enumerate(itertools.chain(rows, map(_primes_of, segs))):
+            yield primes if i < last else primes[primes <= self.limit]
 
     def __iter__(self) -> Iterator[int]:
         for primes in self.arrays():

@@ -115,11 +115,9 @@ def test_arrays_last_segment_may_be_empty():
 
 @pytest.fixture
 def cold_block(monkeypatch):
-    """An empty block of kept rows in place of the process's own."""
-    block = np.empty_like(primes._kept)
-    monkeypatch.setattr(primes, "_kept", block)
-    monkeypatch.setattr(primes, "_kept_shared", np.frombuffer(memoryview(block).toreadonly(), dtype=np.uint8).reshape(block.shape))
-    monkeypatch.setattr(primes, "_kept_rows", 0)
+    """An empty block of kept primes, with no row ends, in place of the process's own."""
+    monkeypatch.setattr(primes, "_kept", np.empty_like(primes._kept))
+    monkeypatch.setattr(primes, "_kept_ends", [0])
 
 
 def stream_primes(limit: int) -> np.ndarray:
@@ -127,7 +125,7 @@ def stream_primes(limit: int) -> np.ndarray:
 
 
 def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
-    list(PrimeStream(_KEPT_BELOW - 1).segments())
+    list(PrimeStream(_KEPT_BELOW - 1).arrays())
 
     def sieve(*args, **kwargs):
         raise AssertionError("a kept row was sieved again")
@@ -137,20 +135,42 @@ def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
     assert np.array_equal(stream_primes(_KEPT_BELOW - 1), np.flatnonzero(plain_sieve(_KEPT_BELOW - 1)))
 
 
-@pytest.mark.parametrize("limit", [2, 2**20 - 1, 2**20, 2**20 + 1, 2**24 - 1, 2**24, 2**24 + 1])
+def assert_arrays_match_oracle(limit: int, cache_dir=None) -> None:
+    arrays = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+    assert len(arrays) == limit // SEGMENT_SPAN + 1 and all(a.dtype == np.int64 for a in arrays)
+    assert np.array_equal(np.concatenate(arrays), np.flatnonzero(plain_sieve(limit)))
+
+
+ORACLE_LIMITS = [2, 2**20 - 1, 2**20, 2**20 + 1, 10**7, 2**24 - 1, 2**24, 2**24 + 1]
+
+
+@pytest.mark.parametrize("limit", ORACLE_LIMITS)
 def test_kept_rows_match_oracle(limit, cold_block):
-    expected = np.flatnonzero(plain_sieve(limit))
-    assert np.array_equal(stream_primes(limit), expected)  # sieves the rows
-    assert np.array_equal(stream_primes(limit), expected)  # reads them back
+    assert_arrays_match_oracle(limit)  # sieves the rows
+    assert_arrays_match_oracle(limit)  # reads them back
 
 
-def test_kept_row_is_read_only():
-    seg = next(PrimeStream(SEGMENT_SPAN).segments())
-    with pytest.raises(ValueError):
-        seg.packed[0] = 0xFF
-    with pytest.raises(ValueError):
-        seg.packed.flags.writeable = True
-    assert np.array_equal(stream_primes(SEGMENT_SPAN), np.flatnonzero(plain_sieve(SEGMENT_SPAN)))
+@pytest.mark.parametrize("limit", ORACLE_LIMITS)
+def test_cached_arrays_match_oracle(limit, tmp_path):
+    assert_arrays_match_oracle(limit, tmp_path)  # writes the cache
+    assert_arrays_match_oracle(limit, tmp_path)  # reads it back
+
+
+def test_warm_stream_extracts_nothing_below_the_bound(monkeypatch):
+    list(PrimeStream(_KEPT_BELOW - 1).arrays())
+
+    def extract(seg):
+        raise AssertionError("a kept row was extracted again")
+
+    monkeypatch.setattr(primes, "_primes_of", extract)
+    assert stream_primes(10**7).size == 664_579
+
+
+def test_writing_a_yielded_array_changes_no_later_stream():
+    for limit in (SEGMENT_SPAN, 10**7):
+        for a in PrimeStream(limit).arrays():
+            a[:] = 0
+        assert np.array_equal(stream_primes(limit), np.flatnonzero(plain_sieve(limit)))
 
 
 def test_threads_share_a_cold_block(cold_block, monkeypatch):
@@ -179,9 +199,10 @@ def test_threads_share_a_cold_block(cold_block, monkeypatch):
     assert sorted(made) == [k * SEGMENT_SPAN for k in range(4)]  # each row sieved once
 
 
-def test_kept_rows_are_views_of_one_block():
-    first, second = (seg.packed for seg in PrimeStream(2 * SEGMENT_SPAN - 1).segments())
-    assert first.base is second.base and first.base.nbytes == 1 << 20
+def test_kept_primes_live_in_one_block():
+    assert primes._kept.dtype == np.int32 and primes._kept.size == prime_count(_KEPT_BELOW - 1)
+    first, second = primes._kept_primes(0), primes._kept_primes(1)
+    assert first.base is second.base is primes._kept
     assert not np.shares_memory(first, second)
 
 
