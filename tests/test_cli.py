@@ -425,19 +425,21 @@ def test_no_subcommand_usage(capsys):
     assert "usage" in err
 
 
+# ap reads its whole stream, and a stream reads the cache only from 2^24 on
+_PAST_THE_KEPT_BLOCK = ("ap", "--pattern", "9", "--k", "3", "--limit", "16777217")
+
+
 def test_cache_dir_flag(capsys, tmp_path):
-    code, out1, _ = run_cli(capsys, "least-prime", "--pattern", "9", "--limit", "5000",
-                            "--format", "csv", "--cache-dir", str(tmp_path))
+    code, out1, _ = run_cli(capsys, *_PAST_THE_KEPT_BLOCK, "--format", "csv", "--cache-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "sieve.spsv").exists()
-    code, out2, _ = run_cli(capsys, "least-prime", "--pattern", "9", "--limit", "5000",
-                            "--format", "csv", "--cache-dir", str(tmp_path))
+    code, out2, _ = run_cli(capsys, *_PAST_THE_KEPT_BLOCK, "--format", "csv", "--cache-dir", str(tmp_path))
     assert out1 == out2
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("STRINGPRIME_CACHE", str(tmp_path))
-    code, _, _ = run_cli(capsys, "least-prime", "--pattern", "9", "--limit", "5000")
+    code, _, _ = run_cli(capsys, *_PAST_THE_KEPT_BLOCK)
     assert code == 0
     assert (tmp_path / "sieve.spsv").exists()
 

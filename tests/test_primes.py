@@ -120,8 +120,8 @@ def cold_block(monkeypatch):
     monkeypatch.setattr(primes, "_kept_ends", [0])
 
 
-def stream_primes(limit: int) -> np.ndarray:
-    return np.concatenate(list(primes_up_to(limit).arrays()))
+def stream_primes(limit: int, cache_dir=None) -> np.ndarray:
+    return np.concatenate(list(primes_up_to(limit, cache_dir=cache_dir).arrays()))
 
 
 def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
@@ -411,25 +411,34 @@ def test_rosser_inequality_holds_on_range():
     assert np.all(counts[xs] > xs / np.log(xs))
 
 
+def segment_primes(limit: int, cache_dir) -> list[int]:
+    """The primes <= limit from PrimeStream.segments(), which reads the
+    cache file from segment 0, below 2^24 too."""
+    found = np.concatenate([primes._primes_of(s) for s in PrimeStream(limit, cache_dir=cache_dir).segments()])
+    return found[found <= limit].tolist()
+
+
 def test_cache_roundtrip(tmp_path):
-    expected = list(primes_up_to(SEGMENT_SPAN + 5_000))
-    first = list(primes_up_to(SEGMENT_SPAN + 5_000, cache_dir=tmp_path))
-    assert first == expected
+    # past 2^24, the one stream whose arrays() reads the file
+    limit = _KEPT_BELOW + 5_000
+    expected = stream_primes(limit)
+    first = stream_primes(limit, tmp_path)
+    assert np.array_equal(first, expected)
     assert (tmp_path / "sieve.spsv").exists()
-    again = list(primes_up_to(SEGMENT_SPAN + 5_000, cache_dir=tmp_path))
-    assert again == expected
+    again = stream_primes(limit, tmp_path)
+    assert np.array_equal(again, expected)
     # a shorter request slices the same cache
-    small = list(primes_up_to(1_000, cache_dir=tmp_path))
-    assert small == [p for p in expected if p <= 1_000]
+    small = segment_primes(1_000, tmp_path)
+    assert small == expected[expected <= 1_000].tolist()
 
 
 def test_cache_corruption_is_ignored(tmp_path, capsys):
-    list(primes_up_to(10_000, cache_dir=tmp_path))
+    segment_primes(10_000, tmp_path)
     path = tmp_path / "sieve.spsv"
     data = bytearray(path.read_bytes())
     data[:4] = b"XXXX"
     path.write_bytes(bytes(data))
-    got = list(primes_up_to(10_000, cache_dir=tmp_path))
+    got = segment_primes(10_000, tmp_path)
     assert got == trial_division_primes(10_000)
     assert "corrupt" in capsys.readouterr().err
     # the bad file was replaced by a fresh one
@@ -437,10 +446,10 @@ def test_cache_corruption_is_ignored(tmp_path, capsys):
 
 
 def test_cache_truncation_is_ignored(tmp_path, capsys):
-    list(primes_up_to(10_000, cache_dir=tmp_path))
+    segment_primes(10_000, tmp_path)
     path = tmp_path / "sieve.spsv"
     path.write_bytes(path.read_bytes()[:10])
-    got = list(primes_up_to(10_000, cache_dir=tmp_path))
+    got = segment_primes(10_000, tmp_path)
     assert got == trial_division_primes(10_000)
     assert "corrupt" in capsys.readouterr().err
 
@@ -460,13 +469,13 @@ def test_cache_payload_damage_is_detected(tmp_path, capsys):
 
 @pytest.mark.parametrize("resize", [lambda data: data + b"\0", lambda data: data[:-1]], ids=["longer", "shorter"])
 def test_cache_of_the_wrong_size_is_rewritten(tmp_path, capsys, resize):
-    limit = SEGMENT_SPAN + 1
-    list(primes_up_to(limit, cache_dir=tmp_path))
+    limit = _KEPT_BELOW + 1
+    stream_primes(limit, tmp_path)
     path = tmp_path / "sieve.spsv"
     path.write_bytes(resize(path.read_bytes()))
-    got = list(primes_up_to(limit, cache_dir=tmp_path))
+    got = stream_primes(limit, tmp_path)
     assert "wrong file size" in capsys.readouterr().err
-    assert got == np.flatnonzero(plain_sieve(limit)).tolist()
+    assert np.array_equal(got, np.flatnonzero(plain_sieve(limit)))
     assert path.read_bytes() == packed_oracle(limit)
 
 
@@ -624,7 +633,7 @@ def test_cache_grow_streams_its_rows(tmp_path):
 
 def test_cache_record_failing_its_read_back_is_sieved(tmp_path, monkeypatch):
     limit = 3 * SEGMENT_SPAN + 7
-    list(primes_up_to(limit, cache_dir=tmp_path))
+    segment_primes(limit, tmp_path)
     seen = []
     record = primes._record
 
@@ -641,7 +650,7 @@ def test_cache_record_failing_its_read_back_is_sieved(tmp_path, monkeypatch):
 
     monkeypatch.setattr(primes, "_record", flaky)
     monkeypatch.setattr(primes, "_sieve_segments", spy)
-    assert list(primes_up_to(limit, cache_dir=tmp_path)) == np.flatnonzero(plain_sieve(limit)).tolist()
+    assert segment_primes(limit, tmp_path) == np.flatnonzero(plain_sieve(limit)).tolist()
     assert seen.count(row_offset(1)) == 2
     assert starts == [SEGMENT_SPAN]
     assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)  # a hit, not a rewrite
@@ -655,7 +664,7 @@ def test_cache_version_4_is_rewritten(tmp_path, capsys):
     path = tmp_path / "sieve.spsv"
     header = struct.pack("<4sIQQI", _CACHE_MAGIC, 4, SEGMENT_SPAN, SEGMENT_SPAN, zlib.crc32(table))
     path.write_bytes(header + table + row)
-    assert list(primes_up_to(10_000, cache_dir=tmp_path)) == trial_division_primes(10_000)
+    assert segment_primes(10_000, tmp_path) == trial_division_primes(10_000)
     assert capsys.readouterr().err.count("unsupported version 4") == 1
     assert path.read_bytes() == packed_oracle(10_000)
     assert prime_count(10_000, cache_dir=tmp_path) == 1_229
@@ -690,7 +699,7 @@ def test_prime_count_1e9_cached_grow(tmp_path):
 def test_cache_write_failure_still_yields_primes(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
-    assert list(primes_up_to(10_000, cache_dir=blocker)) == trial_division_primes(10_000)
+    assert segment_primes(10_000, blocker) == trial_division_primes(10_000)
     err = capsys.readouterr().err
     assert "could not write sieve cache" in err
     assert "corrupt" not in err  # the read fails too, but nothing in it is corrupt
@@ -707,9 +716,66 @@ def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_absence_never_changes_results(tmp_path):
-    with_cache = list(primes_up_to(75_000, cache_dir=tmp_path))
-    without = list(primes_up_to(75_000))
-    assert with_cache == without
+    # past 2^24, where a stream with a cache directory reads the file
+    limit = _KEPT_BELOW + 75_000
+    for _ in range(2):  # writes the file, then reads it back
+        with_cache = list(primes_up_to(limit, cache_dir=tmp_path).arrays())
+        without = list(primes_up_to(limit).arrays())
+        assert len(with_cache) == len(without) == limit // SEGMENT_SPAN + 1
+        assert all(np.array_equal(a, b) for a, b in zip(with_cache, without))
+    assert (tmp_path / "sieve.spsv").exists()
+
+
+# --- a cache directory serves only the segments from 2^24 on -------------------
+
+
+@pytest.mark.parametrize("limit", [2, 10**7, _KEPT_BELOW - 1])
+def test_stream_below_the_bound_touches_no_cache(tmp_path, capsys, limit):
+    expected = np.flatnonzero(plain_sieve(limit))
+    path = tmp_path / "sieve.spsv"
+    corrupt = b"XXXX" + packed_oracle(1_000)[4:]
+    path.write_bytes(corrupt)
+    assert np.array_equal(stream_primes(limit, tmp_path), expected)
+    assert np.array_equal(stream_primes(limit, tmp_path / "new"), expected)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    assert np.array_equal(stream_primes(limit, blocker), expected)
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == corrupt  # neither read nor rewritten
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir", "sieve.spsv"]  # "new" never made
+
+
+def test_stream_closed_below_the_bound_touches_no_cache(tmp_path):
+    stream = PrimeStream(SIEVE_CEILING, cache_dir=tmp_path).arrays()
+    for _ in range(_KEPT_BELOW // SEGMENT_SPAN):
+        next(stream)
+    stream.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_warm_cached_stream_extracts_only_past_the_bound(tmp_path, monkeypatch):
+    limit = _KEPT_BELOW + 1
+    stream_primes(limit, tmp_path)  # writes the file and fills the kept block
+    extract, bases = primes._primes_of, []
+
+    def spy(seg):
+        bases.append(seg.base)
+        return extract(seg)
+
+    monkeypatch.setattr(primes, "_primes_of", spy)
+    assert np.array_equal(stream_primes(limit, tmp_path), np.flatnonzero(plain_sieve(limit)))
+    assert bases == [_KEPT_BELOW]
+    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_row_0_damage_is_resieved_by_a_stream_past_the_bound(tmp_path, capsys):
+    limit = _KEPT_BELOW + 1
+    stream_primes(limit, tmp_path)
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(0) + 1_000)
+    assert np.array_equal(stream_primes(limit, tmp_path), np.flatnonzero(plain_sieve(limit)))
+    assert "segment 0 checksum mismatch" in capsys.readouterr().err
+    assert path.read_bytes() == packed_oracle(limit)
 
 
 def test_prime_stream_exposes_limit():
