@@ -129,8 +129,8 @@ def _primes_of(seg: SieveSegment) -> np.ndarray:
     return primes
 
 
-# Without a cache directory, the primes below 2^24 are kept for the process:
-# Table 1 (M(5) < 10^7) and the scans to 10^7 stream them again and again.
+# Every stream, cached or not, takes the primes below 2^24 from a block kept
+# for the process: Table 1 (M(5) < 10^7) and the scans to 10^7 stream them again and again.
 # Row i, the primes of segment i sieved exact to its end, is _kept[_kept_ends[i] : _kept_ends[i + 1]].
 _KEPT_BELOW = 1 << 24
 _kept = np.empty(1_077_871, dtype=np.int32)  # pi(2^24 - 1); np.empty touches no page before its row fills
@@ -152,11 +152,11 @@ def _kept_primes(i: int) -> np.ndarray:
 class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
-    When `cache_dir` is given and not empty, sieved odd-composite marks are
-    read from / written to an on-disk cache; the cache is an optimization
+    `arrays()` copies the primes below 2^24 from a block kept for the
+    process and shared by every thread.  Past that block, and in all of
+    `segments()`, the marks come from an on-disk cache in `cache_dir` if one
+    is given and not empty, else from the sieve; the cache is an optimization
     only and a missing or corrupt file never changes the yielded primes.
-    Without one, `segments()` sieves, and `arrays()` copies the primes below
-    2^24 from a block kept for the process and shared by every thread.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -168,10 +168,13 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir else None
 
     def segments(self) -> Iterator[SieveSegment]:
-        start = 0  # the first segment the cache did not give
-        for row in _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1) if self._cache_dir else ():
+        return self._segments_from(0)
+
+    def _segments_from(self, start: int) -> Iterator[SieveSegment]:
+        rows = _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1) if self._cache_dir else ()
+        for row in itertools.islice(rows, start // SEGMENT_SPAN, None):  # the rows before start are checked, not yielded
             yield SieveSegment(start, SEGMENT_SPAN, row)
-            start += SEGMENT_SPAN
+            start += SEGMENT_SPAN  # the first segment the cache did not give
         if start <= self.limit:
             yield from _sieve_segments(self.limit, start=start)
 
@@ -179,8 +182,8 @@ class PrimeStream:
         """The primes <= limit as one ascending int64 array per segment, 2
         leading the first; the last array may be empty."""
         last = self.limit // SEGMENT_SPAN  # the only segment that reaches past the limit
-        kept = 0 if self._cache_dir else min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
-        segs = self.segments() if self._cache_dir else () if kept > last else _sieve_segments(self.limit, start=_KEPT_BELOW)
+        kept = min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
+        segs = self._segments_from(kept * SEGMENT_SPAN) if kept <= last else ()
         rows = (_kept_primes(i).astype(np.int64) for i in range(kept))  # copies: the block is never handed out
         for i, primes in enumerate(itertools.chain(rows, map(_primes_of, segs))):
             yield primes if i < last else primes[primes <= self.limit]
