@@ -74,7 +74,15 @@ def test_scans_match_scalar_reference(text, limit):
         assert (k, ap and (ap.first_term, ap.difference)) == (k, scalar_ap(hits, k, limit))
 
 
-@pytest.mark.parametrize("length, limit", [(1, 82), (1, 83), (2, 10_000), (3, 50_410), (3, 100_000), (4, 10**6)])
+# each M(l) of Table 1 and the limit one below it, where coverage is not yet whole
+THRESHOLD_CASES = [
+    (1, 82), (1, 83), (2, 1_846), (2, 1_847), (3, 50_410), (3, 50_411), (4, 793_342), (4, 793_343),
+    pytest.param(5, 9_810_000, marks=pytest.mark.slow),
+    pytest.param(5, 9_810_001, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("length, limit", [*THRESHOLD_CASES, (2, 10_000), (3, 100_000), (4, 10**6)])
 def test_coverage_matches_scalar_reference(length, limit):
     result = coverage_threshold(length, limit)
     expected = scalar_coverage(length, limit)
