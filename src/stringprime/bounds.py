@@ -99,7 +99,7 @@ def solve_log_n(bound: float) -> float:
     log1p((bound - e) / e), which keeps its digits however close bound is
     to e."""
     if not math.isfinite(bound) or bound <= math.e:
-        raise DomainError("y / log y = B has no solution y > e unless B > e")
+        raise DomainError("y / log y = B has a solution y > e only for B finite and > e")
     y = bound * (1.0 + _root_excess(math.log1p((bound - math.e - _E_TAIL) / math.e)))
     if not math.isfinite(y):
         raise DomainError(f"y / log y = {bound:g} has no root in double range; `bound --l L` reports on a log scale")
@@ -110,7 +110,7 @@ def solve_log_n_log(log_bound: float) -> float:
     """log of solve_log_n(B) given log B, for bounds beyond double range: the
     root t > 1 of t - log t = log B."""
     if not math.isfinite(log_bound) or log_bound <= 1.0:
-        raise DomainError("log B must exceed 1 (B > e)")
+        raise DomainError("log B must be finite and > 1 (B > e)")
     return 1.0 + _root_excess(log_bound - 1.0)
 
 

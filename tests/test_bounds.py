@@ -101,6 +101,11 @@ def test_solve_log_n_domain():
         solve_log_n(1.0)
     with pytest.raises(DomainError):
         solve_log_n_log(1.0)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"only for B finite and > e"):
+            solve_log_n(value)
+        with pytest.raises(DomainError, match=r"log B must be finite and > 1 \(B > e\)"):
+            solve_log_n_log(value)
 
 
 def test_solve_log_n_reference_values():

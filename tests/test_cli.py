@@ -58,6 +58,12 @@ def test_solve_logn_domain_error(capsys):
     assert "error" in err
 
 
+def test_solve_logn_of_infinity_says_b_must_be_finite(capsys):
+    code, out, err = run_cli(capsys, "solve-logn", "--b", "inf")
+    assert (code, out) == (2, "")
+    assert "only for B finite and > e" in err
+
+
 def test_ap_not_found_exit_code(capsys):
     code, out, err = run_cli(capsys, "ap", "--pattern", "123", "--k", "3", "--limit", "100")
     assert code == 1
