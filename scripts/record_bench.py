@@ -9,7 +9,10 @@ and each of the seeds 1, 2 and 3, one run after another, it runs
 
 with T the run length BENCHMARK.json gives, so that every BENCH file follows
 one protocol and can be compared with the one before it.  It writes
-BENCH_<N>.json at the repository root.  Each workload gets the
+BENCH_<N>.json at the repository root, and refuses to start if that file
+already exists: a recorded BENCH file is never replaced.  A run that exits
+non-zero, or whose last stdout line is not its JSON summary, ends the
+recording with one line naming the workload and seed.  Each workload gets the
 median, minimum and maximum of each end-to-end metric over its runs, every
 run's metrics with the summary line the run printed to stderr, verbatim,
 and whether every run was correct.  That line holds the uncalibrated times
@@ -43,10 +46,27 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+def summary_of(proc: subprocess.CompletedProcess, workload: str, seed: int) -> dict:
+    """The JSON summary a run prints as its last stdout line."""
+    fault = f"exited {proc.returncode}" if proc.returncode else None
+    if fault is None:
+        try:
+            return json.loads(proc.stdout.splitlines()[-1])
+        except IndexError:
+            fault = "printed nothing on stdout"
+        except json.JSONDecodeError:
+            fault = "printed no JSON summary as its last stdout line"
+    sys.stderr.write(proc.stderr)
+    raise SystemExit(f"record_bench: {workload} seed {seed} {fault}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("n", type=int, help="number of the BENCH file to write")
     args = ap.parse_args(argv)
+    out = ROOT / f"BENCH_{args.n}.json"
+    if out.exists():
+        raise SystemExit(f"record_bench: {out.name} exists; a recorded BENCH file is never replaced")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -70,10 +90,7 @@ def main(argv=None) -> int:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0"]
             proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                sys.stderr.write(proc.stderr)
-                raise SystemExit(f"record_bench: {workload} seed {seed} exited {proc.returncode}")
-            summary = json.loads(proc.stdout.splitlines()[-1])
+            summary = summary_of(proc, workload, seed)
             line = next((ln for ln in proc.stderr.splitlines() if ln.startswith(f"{workload} seed {seed}: ")), None)
             runs.append({"seed": seed, "correct": summary["correct"], "attempted": summary["attempted"],
                          "failed": summary["failed"],
@@ -91,7 +108,6 @@ def main(argv=None) -> int:
             "per_layer": {metric["name"]: None for metric in spec["per_layer"]},
             "runs": runs,
         }
-    out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)
     return 0
