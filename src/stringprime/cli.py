@@ -209,9 +209,9 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=d(1), metavar="N",
                         help="must be >= 1; never changes output")
     common.add_argument("--cache-dir", default=d(os.environ.get("STRINGPRIME_CACHE")), metavar="PATH",
-                        help="directory for the sieve segment cache "
-                             "(default $STRINGPRIME_CACHE; unset = in-memory: the primes "
-                             "below 2^24 are sieved once per process, the rest per request)")
+                        help="directory for the sieve segment cache of the segments from 2^24 on "
+                             "(default $STRINGPRIME_CACHE; unset = in-memory, sieved per request); "
+                             "the primes below 2^24 are always sieved once per process and kept")
     common.add_argument("--seed-check", action="store_true", default=d(False),
                         help="run the invariant self-test battery first")
     return common

@@ -1,8 +1,9 @@
 """Runnable experiments: least containing prime, coverage thresholds,
 prime arithmetic progressions, and relative densities.
 
-All scans stream primes ascending from the segmented sieve, so results are
-deterministic for a given limit.
+All scans stream primes ascending, one array per segment: those below 2^24
+from a block kept for the process, the rest from the sieve cache or the
+segmented sieve.  Results are deterministic for a given limit.
 """
 
 from __future__ import annotations
