@@ -121,7 +121,13 @@ def cold_block(monkeypatch):
 
 
 def stream_primes(limit: int, cache_dir=None) -> np.ndarray:
-    return np.concatenate(list(primes_up_to(limit, cache_dir=cache_dir).arrays()))
+    arrays = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+    assert len(arrays) == limit // SEGMENT_SPAN + 1  # one array per segment
+    return np.concatenate(arrays)
+
+
+# a stream whose last segment, the first past the kept block, holds primes <= it
+PAST_THE_BOUND = _KEPT_BELOW + 5_000
 
 
 def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
@@ -420,7 +426,7 @@ def segment_primes(limit: int, cache_dir) -> list[int]:
 
 def test_cache_roundtrip(tmp_path):
     # past 2^24, the one stream whose arrays() reads the file
-    limit = _KEPT_BELOW + 5_000
+    limit = PAST_THE_BOUND
     expected = stream_primes(limit)
     first = stream_primes(limit, tmp_path)
     assert np.array_equal(first, expected)
@@ -469,7 +475,7 @@ def test_cache_payload_damage_is_detected(tmp_path, capsys):
 
 @pytest.mark.parametrize("resize", [lambda data: data + b"\0", lambda data: data[:-1]], ids=["longer", "shorter"])
 def test_cache_of_the_wrong_size_is_rewritten(tmp_path, capsys, resize):
-    limit = _KEPT_BELOW + 1
+    limit = PAST_THE_BOUND
     stream_primes(limit, tmp_path)
     path = tmp_path / "sieve.spsv"
     path.write_bytes(resize(path.read_bytes()))
@@ -754,7 +760,7 @@ def test_stream_closed_below_the_bound_touches_no_cache(tmp_path):
 
 
 def test_warm_cached_stream_extracts_only_past_the_bound(tmp_path, monkeypatch):
-    limit = _KEPT_BELOW + 1
+    limit = PAST_THE_BOUND
     stream_primes(limit, tmp_path)  # writes the file and fills the kept block
     extract, bases = primes._primes_of, []
 
@@ -769,7 +775,7 @@ def test_warm_cached_stream_extracts_only_past_the_bound(tmp_path, monkeypatch):
 
 
 def test_row_0_damage_is_resieved_by_a_stream_past_the_bound(tmp_path, capsys):
-    limit = _KEPT_BELOW + 1
+    limit = PAST_THE_BOUND
     stream_primes(limit, tmp_path)
     path = tmp_path / "sieve.spsv"
     damage(path, row_offset(0) + 1_000)
