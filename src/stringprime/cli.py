@@ -4,13 +4,14 @@ Every operation is reachable as a subcommand; tables render as human,
 csv, or markdown text with deterministic formatting ('.' decimal point,
 no locale).  Exit codes: 0 success, 1 not found within the limit,
 2 invalid arguments or domain errors, 3 resource limits, 4 internal errors,
-130 interrupted (Ctrl-C).
+130 interrupted (Ctrl-C), 141 stdout closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import __version__
@@ -30,6 +31,7 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
+EXIT_BROKEN_PIPE = 141  # the shell's code for a SIGPIPE
 
 # The largest precision float formatting accepts (a C int).
 _MAX_PRECISION = 2**31 - 1
@@ -233,6 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-logn", parents=[common], help="solve y / log y = B")
     p.add_argument("--b", type=float, required=True)
+    # argparse reads an argument that starts with "-" as an option unless it
+    # is a plain negative decimal; every float() spelling of a negative B
+    # (-1e5, -inf, -nan) is a value here, so solve_log_n names its domain
+    p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.set_defaults(func=_cmd_solve_logn)
 
     p = sub.add_parser("coupon", parents=[common], help="coupon-collector prediction")
@@ -273,27 +279,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(parser: argparse.ArgumentParser, args) -> int:
+    if args.precision < 1:
+        raise InvalidInputError("precision must be >= 1")
+    if args.precision > _MAX_PRECISION:
+        raise InvalidInputError(f"precision must be <= {_MAX_PRECISION}")
+    if args.threads < 1:
+        raise InvalidInputError("threads must be >= 1")
+    if args.seed_check:
+        from . import selfcheck
+
+        if selfcheck.run():
+            return EXIT_INVALID
+        if not getattr(args, "func", None):
+            return EXIT_OK
+    if not getattr(args, "func", None):
+        parser.print_usage(sys.stderr)
+        return EXIT_INVALID
+    return args.func(args)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision < 1:
-            raise InvalidInputError("precision must be >= 1")
-        if args.precision > _MAX_PRECISION:
-            raise InvalidInputError(f"precision must be <= {_MAX_PRECISION}")
-        if args.threads < 1:
-            raise InvalidInputError("threads must be >= 1")
-        if args.seed_check:
-            from . import selfcheck
-
-            if selfcheck.run():
-                return EXIT_INVALID
-            if not getattr(args, "func", None):
-                return EXIT_OK
-        if not getattr(args, "func", None):
-            parser.print_usage(sys.stderr)
-            return EXIT_INVALID
-        return args.func(args)
+        code = _run(parser, args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InvalidInputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -157,6 +157,9 @@ class PrimeStream:
     `segments()`, the marks come from an on-disk cache in `cache_dir` if one
     is given and not empty, else from the sieve; the cache is an optimization
     only and a missing or corrupt file never changes the yielded primes.
+    Cached rows are yielded as they are checked or sieved; a new file replaces
+    the old one only once the stream has written its last needed row and runs
+    to its end, so a stream closed early keeps no rows and a repeat sieves them.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -172,7 +175,7 @@ class PrimeStream:
 
     def _segments_from(self, start: int) -> Iterator[SieveSegment]:
         rows = _cached_rows(self._cache_dir, self.limit // SEGMENT_SPAN + 1) if self._cache_dir else ()
-        for row in itertools.islice(rows, start // SEGMENT_SPAN, None):  # the rows before start are checked, not yielded
+        for row in itertools.islice(rows, start // SEGMENT_SPAN, None):  # rows before start: checked or sieved, not yielded
             yield SieveSegment(start, SEGMENT_SPAN, row)
             start += SEGMENT_SPAN  # the first segment the cache did not give
         if start <= self.limit:
@@ -315,18 +318,17 @@ def _record(fh) -> np.ndarray | None:
 
 
 def _cached_rows(cache_dir: str, need: int) -> Iterator[np.ndarray]:
-    """The first `need` packed rows of the cache in cache_dir, one checked
-    record at a time; a record that fails its check ends them, and the
-    caller sieves the rest.
+    """The first `need` packed rows of the cache in cache_dir, in one pass:
+    each is yielded as soon as its record is checked or sieved, and a failed
+    check or write (a warning) ends them, so the caller sieves the rest.
 
-    The needed records are checked first, and records past them are never
-    read; a bad header, file size or CRC-32 is a warning.  If a needed
-    record is missing or damaged, a new file replaces the old one before the
-    first row is yielded: the checked records copied byte for byte, then each
-    sieved record as it is made.  A failed write is a warning and yields no row.
+    Records past the needed ones are never read.  From the first missing or
+    damaged needed record on, a new file gets the checked records copied byte
+    for byte, then each sieved record, and replaces the old one once the rows
+    are read to their end; a stream closed early leaves the old file as it was.
     """
     path = os.path.join(cache_dir, _CACHE_FILENAME)
-    good = 0  # leading needed records that pass their check
+    good = 0  # leading needed records that passed their check, all yielded
     try:
         with open(path, "rb") as fh:
             header = fh.read(_CACHE_HEADER.size)
@@ -341,44 +343,39 @@ def _cached_rows(cache_dir: str, need: int) -> Iterator[np.ndarray]:
                 raise ValueError("inconsistent header geometry")
             if os.fstat(fh.fileno()).st_size != _CACHE_HEADER.size + covered // span * _CACHE_RECORD:
                 raise ValueError("wrong file size")
-            while good < min(covered // span, need) and _record(fh) is not None:
+            while good < min(covered // span, need):
+                if (row := _record(fh)) is None:
+                    raise ValueError(f"segment {good} checksum mismatch")
+                yield row
                 good += 1
-            if good < min(covered // span, need):
-                raise ValueError(f"segment {good} checksum mismatch")
     except FileNotFoundError:
         pass
     except OSError as exc:
         print(f"stringprime: cannot read sieve cache {path}: {exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"stringprime: corrupt sieve cache {path}: {exc}", file=sys.stderr)
-    if good < need:
+    if good == need:
+        return
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
         try:
-            os.makedirs(cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".spsv-")
-            try:
-                with os.fdopen(fd, "wb") as out:
-                    out.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, need * SEGMENT_SPAN))
-                    if good:
-                        with open(path, "rb") as fh:
-                            fh.seek(_CACHE_HEADER.size)
-                            for _ in range(good):
-                                out.write(fh.read(_CACHE_RECORD))
-                    # sieved exact to each segment's end, which a larger limit may read
-                    for seg in _sieve_segments(need * SEGMENT_SPAN - 1, start=good * SEGMENT_SPAN):
-                        out.write(seg.packed)
-                        out.write(zlib.crc32(seg.packed).to_bytes(4, "little"))
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)  # no partial file is left behind
-                raise
-        except OSError as exc:
-            print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)
-            return
-    # read back and check again: the file may have changed since
-    with contextlib.suppress(OSError), open(path, "rb") as fh:
-        fh.seek(_CACHE_HEADER.size)
-        for _ in range(need):
-            if (row := _record(fh)) is None:
-                return
-            yield row
+            with os.fdopen(fd, "wb") as out:
+                out.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, SEGMENT_SPAN, need * SEGMENT_SPAN))
+                if good:
+                    with open(path, "rb") as fh:
+                        fh.seek(_CACHE_HEADER.size)
+                        for _ in range(good):
+                            out.write(fh.read(_CACHE_RECORD))
+                # sieved exact to each segment's end, which a larger limit may read
+                for seg in _sieve_segments(need * SEGMENT_SPAN - 1, start=good * SEGMENT_SPAN):
+                    out.write(seg.packed)
+                    out.write(zlib.crc32(seg.packed).to_bytes(4, "little"))
+                    yield seg.packed
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)  # no partial file is left behind
+            raise
+    except OSError as exc:
+        print(f"stringprime: could not write sieve cache in {cache_dir}: {exc}", file=sys.stderr)

@@ -59,9 +59,11 @@ def test_solve_logn_domain_error(capsys):
 
 
 def test_solve_logn_of_infinity_says_b_must_be_finite(capsys):
-    code, out, err = run_cli(capsys, "solve-logn", "--b", "inf")
-    assert (code, out) == (2, "")
-    assert "only for B finite and > e" in err
+    # argparse would read "-inf" or "-1e5" as an option, not as the value of --b
+    for b in ("inf", "-inf", "-1e5", "-1E5", "-nan"):
+        code, out, err = run_cli(capsys, "solve-logn", "--b", b)
+        assert (code, out) == (2, "")
+        assert err == "error: y / log y = B has a solution y > e only for B finite and > e\n"
 
 
 def test_ap_not_found_exit_code(capsys):
@@ -462,6 +464,23 @@ def test_empty_cache_dir_means_in_memory(tmp_path, how):
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_closed_by_its_reader_exits_141(unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout (at the flush, or at the print when unbuffered) fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stringprime", "bound", "--l", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 128 + signal.SIGPIPE
 
 
 def test_module_entry_point():

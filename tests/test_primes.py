@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import math
 import os
 import random
@@ -509,9 +510,31 @@ def row_offset(i: int) -> int:
 
 @pytest.mark.parametrize("limit", [1_000, SEGMENT_SPAN + 1, 3 * SEGMENT_SPAN + 7])
 def test_cache_file_matches_packed_oracle(tmp_path, limit):
-    # the file is whole before the first segment is yielded
-    next(PrimeStream(limit, cache_dir=tmp_path).segments())
+    # a stream read to its end leaves the whole file
+    list(PrimeStream(limit, cache_dir=tmp_path).segments())
     assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)
+
+
+def test_cache_reads_each_needed_record_once(tmp_path, monkeypatch, capsys):
+    limit, grown = 3 * SEGMENT_SPAN + 7, 6 * SEGMENT_SPAN + 11
+    counts = np.cumsum(plain_sieve(grown))
+    assert prime_count(limit, cache_dir=tmp_path) == counts[limit]
+    record, offsets = primes._record, []
+
+    def spy(fh):
+        offsets.append(fh.tell())
+        return record(fh)
+
+    monkeypatch.setattr(primes, "_record", spy)
+    assert prime_count(limit, cache_dir=tmp_path) == counts[limit]  # a hit
+    assert offsets == [row_offset(i) for i in range(4)]
+    path = tmp_path / "sieve.spsv"
+    damage(path, row_offset(2) + 1_000)
+    offsets.clear()
+    assert prime_count(grown, cache_dir=tmp_path) == counts[grown]  # a grow past a damaged row
+    assert offsets == [row_offset(i) for i in range(3)]  # row 2 fails its check; the rest are sieved
+    assert "segment 2 checksum mismatch" in capsys.readouterr().err
+    assert path.read_bytes() == packed_oracle(grown)
 
 
 def test_cache_grow_sieves_only_the_missing_segments(tmp_path, monkeypatch):
@@ -625,7 +648,7 @@ def traced_peak(fn) -> int:
 
 
 def test_cache_hit_holds_a_few_rows(tmp_path):
-    # a hit checks and reads back one record at a time, never the whole file
+    # a hit checks and yields one record at a time, never the whole file
     assert prime_count(3 * 10**7, cache_dir=tmp_path) == 1_857_859
     assert traced_peak(lambda: prime_count(3 * 10**7, cache_dir=tmp_path)) < 500_000
 
@@ -635,31 +658,6 @@ def test_cache_grow_streams_its_rows(tmp_path):
     assert prime_count(10**7, cache_dir=tmp_path) == 664_579
     assert traced_peak(lambda: prime_count(3 * 10**7, cache_dir=tmp_path)) < 1_500_000
     assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(3 * 10**7)
-
-
-def test_cache_record_failing_its_read_back_is_sieved(tmp_path, monkeypatch):
-    limit = 3 * SEGMENT_SPAN + 7
-    segment_primes(limit, tmp_path)
-    seen = []
-    record = primes._record
-
-    def flaky(fh):
-        # row 1 passes its check, then fails when it is read back
-        seen.append(fh.tell())
-        return None if seen.count(row_offset(1)) == 2 else record(fh)
-
-    starts = []
-
-    def spy(limit, span=SEGMENT_SPAN, start=0):
-        starts.append(start)
-        return _sieve_segments(limit, span, start)
-
-    monkeypatch.setattr(primes, "_record", flaky)
-    monkeypatch.setattr(primes, "_sieve_segments", spy)
-    assert segment_primes(limit, tmp_path) == np.flatnonzero(plain_sieve(limit)).tolist()
-    assert seen.count(row_offset(1)) == 2
-    assert starts == [SEGMENT_SPAN]
-    assert (tmp_path / "sieve.spsv").read_bytes() == packed_oracle(limit)  # a hit, not a rewrite
 
 
 def test_cache_version_4_is_rewritten(tmp_path, capsys):
@@ -718,6 +716,91 @@ def test_cache_write_failure_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
     assert prime_count(100_000, cache_dir=tmp_path) == 9_592
     assert "could not write sieve cache" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class FillingFile:
+    """A file open for writing that takes `room` bytes, then refuses every
+    write as a full disk does."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def write(self, data) -> int:
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("old_limit", [None, SEGMENT_SPAN + 1], ids=["cold", "grow"])
+def test_cache_write_failing_part_way_yields_each_segment_once(tmp_path, capsys, monkeypatch, old_limit):
+    path = tmp_path / "sieve.spsv"
+    if old_limit:
+        prime_count(old_limit, cache_dir=tmp_path)
+        before = path.read_bytes()
+    fdopen = os.fdopen
+    room = _CACHE_HEADER.size + 3 * (SEGMENT_SPAN // 16 + 4)  # three records, copied or sieved
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FillingFile(fdopen(fd, mode), room))
+    limit = 6 * SEGMENT_SPAN + 11
+    segs = list(PrimeStream(limit, cache_dir=tmp_path).segments())
+    assert [s.base for s in segs] == [i * SEGMENT_SPAN for i in range(7)]
+    found = np.concatenate([primes._primes_of(s) for s in segs])
+    assert np.array_equal(found[found <= limit], np.flatnonzero(plain_sieve(limit)))
+    assert "could not write sieve cache" in capsys.readouterr().err
+    if old_limit:
+        assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == (["sieve.spsv"] if old_limit else [])
+
+
+def test_cold_cached_stream_writes_no_file_before_its_end(tmp_path):
+    segs = PrimeStream(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path).segments()
+    next(segs)
+    assert not (tmp_path / "sieve.spsv").exists()
+    segs.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["whole", "late-row-damage"])
+def test_stream_closed_early_leaves_the_file_as_it_was(tmp_path, capsys, damaged):
+    path = tmp_path / "sieve.spsv"
+    prime_count(3 * SEGMENT_SPAN + 7, cache_dir=tmp_path)
+    if damaged:
+        damage(path, row_offset(3) + 1_000)
+    before = path.read_bytes()
+    segs = PrimeStream(6 * SEGMENT_SPAN + 11, cache_dir=tmp_path).segments()
+    for _ in range(5):  # the checked rows, then a sieved one that a new file holds
+        next(segs)
+    assert len(list(tmp_path.iterdir())) == 2
+    segs.close()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.spsv"]
+
+
+def test_cold_cached_stream_yields_past_the_bound_early(tmp_path, monkeypatch):
+    list(PrimeStream(_KEPT_BELOW - 1).arrays())  # the kept block is warm
+    sieve, made = primes._sieve_segments, []
+
+    def spy(*args, **kwargs):
+        for seg in sieve(*args, **kwargs):
+            made.append(seg.base)
+            yield seg
+
+    monkeypatch.setattr(primes, "_sieve_segments", spy)
+    arrays = PrimeStream(SIEVE_CEILING, cache_dir=tmp_path).arrays()
+    for _ in range(_KEPT_BELOW // SEGMENT_SPAN + 1):
+        first = next(arrays)
+    # the rows below 2^24 are sieved for the file, then the first past it
+    assert len(made) <= 18
+    flags = plain_sieve(_KEPT_BELOW + SEGMENT_SPAN - 1)[_KEPT_BELOW:]
+    assert np.array_equal(first, _KEPT_BELOW + np.flatnonzero(flags))
+    arrays.close()
     assert list(tmp_path.iterdir()) == []
 
 
