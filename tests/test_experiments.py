@@ -99,15 +99,28 @@ def test_coverage_matches_scalar_reference(length, limit):
     assert list(cov) == sorted(oracle, key=lambda s: s.digits)
 
 
-def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch):
-    # 689 completes coverage with three new digits at once; the scan order
-    # (ascending number, then left to right) makes 9 the last string.
-    numbers = np.array([11, 23, 457, 689], dtype=np.int64)
-    stream = types.SimpleNamespace(arrays=lambda: iter([numbers[:2], numbers[2:]]))
+@pytest.mark.parametrize(
+    "arrays, m, last",
+    [
+        # 689 completes coverage with three new digits at once; the scan
+        # order (ascending number, then left to right) makes 9 the last string.
+        pytest.param([[11, 23], [457, 689]], 689, "9", id="two-arrays"),
+        # 31 holds 3 in an earlier column than 13 does; 13 still holds it first
+        pytest.param([[13, 31, 457, 68921]], 68921, "2", id="least-in-later-column"),
+        # 6 is also the fourth digit of 68961 and 1 its last, but 9 is the
+        # new digit that first occurs latest
+        pytest.param([[11, 23, 457, 68961]], 68961, "9", id="new-left-of-last-window"),
+    ],
+)
+def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, m, last):
+    stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int64) for a in arrays))
     monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
     result = coverage_threshold(1, 1_000)
-    assert (result.m, result.last_string.text) == (689, "9")
-    assert {s.text: p for s, p in result.covered_at.items() if p == 689} == {"6": 689, "8": 689, "9": 689}
+    numbers = [n for a in arrays for n in a]
+    assert (result.m, result.last_string.text) == (m, last)
+    assert {s.text: p for s, p in result.covered_at.items()} == {
+        d: next(n for n in numbers if d in str(n)) for d in "123456789"
+    }
 
 
 def test_scan_results_are_plain_ints():
@@ -180,6 +193,15 @@ def test_windows_match_digit_slices(length):
         wins = experiments._windows(primes, length)
         assert wins.dtype == np.int32 and wins.shape == (top, max(digits - length + 1, 0))
         assert wins.tolist() == expected
+
+
+def test_containing_matches_substrings():
+    # texts of up to 9 digits, where 10**len(text) reaches 10^9 in int32, and
+    # one longer than every prime, which makes no shift
+    primes = np.array(EDGE_PRIMES)
+    texts = {s[i:j] for s in map(str, EDGE_PRIMES) for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
+    for text in sorted(texts | {"0", "00", "03", "1234567890"}):
+        assert experiments._containing(primes, text).tolist() == [text in str(p) for p in EDGE_PRIMES], text
 
 
 def test_cli_coverage_map_matches_scalar_reference(tmp_path, capsys):
