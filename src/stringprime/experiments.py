@@ -121,7 +121,7 @@ def least_prime_containing(
 ) -> int | None:
     """Smallest prime <= limit containing the pattern, or None."""
     text = as_digit_string(pattern).text
-    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
+    for primes in primes_up_to(limit, cache_dir=cache_dir)._rows():
         hits = primes[_containing(primes, text)]
         if hits.size:
             return int(hits[0])
@@ -150,10 +150,9 @@ def coverage_threshold(
     lo = 10 ** (length - 1)
     unseen = np.iinfo(np.int32).max
     first = np.full(10 * lo, unseen, dtype=np.int32)
-    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
-        p = primes.astype(np.int32)
+    for primes in primes_up_to(limit, cache_dir=cache_dir)._rows():
         for w in _windows(primes, length).T:  # per column: numpy 2.4's ufunc.at misreads broadcast values
-            np.minimum.at(first, w, p)
+            np.minimum.at(first, w, primes)
         m = int(first[lo:].max())
         if m < unseen:
             s = str(m)
@@ -187,8 +186,8 @@ def find_prime_ap(
     if k > 6:
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
-    stream = primes_up_to(limit, cache_dir=cache_dir).arrays()
-    c = np.concatenate([a[_containing(a, text)] for a in stream])
+    stream = primes_up_to(limit, cache_dir=cache_dir)._rows()
+    c = np.concatenate([a[_containing(a, text)] for a in stream], dtype=np.int64)
     for i in range(c.size):
         a = int(c[i])
         # every difference whose last term stays <= limit, ascending; keep
@@ -234,9 +233,11 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
-    for primes in primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir).arrays():
-        pi_n += np.searchsorted(primes, bounds, side="right")
-        containing += np.searchsorted(primes[_containing(primes, pat.text)], bounds, side="right")
+    rows = primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir)._rows()
+    at = np.array(bounds, dtype=np.int32)  # int64 bounds would make searchsorted widen each row
+    for primes in rows:
+        pi_n += np.searchsorted(primes, at, side="right")
+        containing += np.searchsorted(primes[_containing(primes, pat.text)], at, side="right")
     return [
         DensityReport(pattern=pat, n=n, pi_n=p, containing=c, avoiding=p - c)
         for n, p, c in zip(bounds, pi_n.tolist(), containing.tolist())
@@ -252,31 +253,53 @@ def _windows(primes: np.ndarray, length: int) -> np.ndarray:
     np.remainder takes 2.2-2.7 ns an int32, those three passes about 1.1 ns
     (numpy 2.4, 2-core x86); the identity is exact for x >= 0."""
     digits = len(str(primes.max(initial=0)))
-    p = primes.astype(np.int32)
-    wins = np.empty((max(digits - length + 1, 0), p.size), dtype=np.int32)  # one row per window
+    wins = np.empty((max(digits - length + 1, 0), primes.size), dtype=np.int32)  # one row per window
     m = 10**length
     for row, k in zip(wins, range(digits - length, -1, -1)):
-        np.floor_divide(p, 10**k, out=row)
+        np.floor_divide(primes, 10**k, out=row)
         row -= row // m * m
     return wins.T
 
 
 def _containing(primes: np.ndarray, text: str) -> np.ndarray:
-    """Mask of the primes whose decimal rendering contains `text`: the low
-    len(text) digits of each prime, shifted right one digit at a time, counted
-    only while the window lies inside the prime.  Primes are below 10^9, so
-    int32 holds them, and 10**len(text) <= 10^9 whenever a shift is made: a
-    text longer than every prime makes none.  The remainder is taken as
-    p - p // m * m, about twice as fast as np.remainder (see _windows)."""
-    length, m = len(text), 10 ** len(text)
+    """Mask of the primes whose decimal rendering contains `text`.
+
+    With v = int(text) and l = len(text), the window of p that ends k digits
+    from the right equals v iff v * 10**k <= p mod 10**(k + l) < (v + 1) *
+    10**k.  So a shift k takes one floor division, for the remainder
+    p - p // 10**(k + l) * 10**(k + l), and one unsigned compare of that
+    remainder less v * 10**k against 10**k.  At the top shift every p is
+    below 10**(k + l), so p is its own remainder and nothing is divided.
+
+    A window counts only while it lies inside the prime.  A window equal to
+    a nonzero-led text always does.  A zero-led one does iff a digit lies
+    above it, p >= 10**(k + l), which no p meets at the top shift; below it,
+    the quotient is taken as at least 1, which puts every smaller p below
+    the range.  Primes are below 10^9, so int32 holds them and every
+    10**(k + l) that a shift uses; a text longer than every prime makes no
+    shift.
+
+    The input is only read.  The shifts write two scratch arrays made once
+    per call, with out=: a fresh temporary per operation took 15-20% longer
+    over the primes to 10^7 (numpy 2.4, 2-core x86)."""
+    length, v = len(text), int(text)
+    top = len(str(primes.max(initial=0))) - length  # the window at the longest primes' first digit
     hit = np.zeros(primes.size, dtype=bool)
-    p = primes.astype(np.int32)
-    for _ in range(len(str(primes.max(initial=0))) - length + 1):
-        match = p - p // m * m == int(text)
-        if text[0] == "0":  # a window equal to a nonzero-led text already lies inside the prime
-            match &= p >= 10 ** (length - 1)
+    r = np.empty(primes.size, dtype=np.int32)
+    match = np.empty(primes.size, dtype=bool)
+    for k in range(top + (text[0] != "0")):  # no zero-led window at the top lies inside a prime
+        if k < top:
+            m = 10 ** (k + length)
+            np.floor_divide(primes, m, out=r)
+            if text[0] == "0":
+                np.maximum(r, 1, out=r)
+            np.multiply(r, m, out=r)
+            np.subtract(primes, r, out=r)
+            r -= v * 10**k
+        else:  # every p is below 10**(top + length), so p is its own remainder
+            np.subtract(primes, v * 10**k, out=r)
+        np.less(r.view(np.uint32), 10**k, out=match)
         hit |= match
-        p //= 10
     return hit
 
 

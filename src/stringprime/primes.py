@@ -121,11 +121,13 @@ def _sieve_segments(limit: int, span: int = SEGMENT_SPAN, start: int = 0) -> Ite
 
 
 def _primes_of(seg: SieveSegment) -> np.ndarray:
-    """The primes of seg, ascending int64, 2 leading segment 0; exact up to the limit seg was sieved to."""
+    """The primes of seg, ascending int32, 2 leading segment 0; exact up to the limit seg was sieved to."""
     # flatnonzero is several times slower on uint8 than on bool
-    primes = seg.base + 1 + 2 * np.flatnonzero(np.unpackbits(~seg.packed, count=seg.span // 2).view(bool))
+    odd = np.flatnonzero(np.unpackbits(~seg.packed, count=seg.span // 2).view(bool))
+    primes = np.multiply(odd, 2, dtype=np.int32)
+    primes += seg.base + 1  # below SIEVE_CEILING, so int32 holds every prime
     if seg.base == 0:
-        primes = np.concatenate(([2], primes))
+        primes = np.concatenate(([2], primes), dtype=np.int32)
     return primes
 
 
@@ -152,11 +154,13 @@ def _kept_primes(i: int) -> np.ndarray:
 class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
-    `arrays()` copies the primes below 2^24 from a block kept for the
-    process and shared by every thread.  Past that block, and in all of
-    `segments()`, the marks come from an on-disk cache in `cache_dir` if one
-    is given and not empty, else from the sieve; the cache is an optimization
-    only and a missing or corrupt file never changes the yielded primes.
+    The primes below 2^24 come from a block kept for the process and shared
+    by every thread.  The scans read them in place, as read-only int32 views
+    (`_rows()`); `arrays()` hands out int64 copies.  Past that block, and in
+    all of `segments()`, the marks come from an on-disk cache in `cache_dir`
+    if one is given and not empty, else from the sieve; the cache is an
+    optimization only and a missing or corrupt file never changes the
+    yielded primes.
     Cached rows are yielded as they are checked or sieved; a new file replaces
     the old one only once the stream has written its last needed row and runs
     to its end, so a stream closed early keeps no rows and a repeat sieves them.
@@ -183,16 +187,28 @@ class PrimeStream:
 
     def arrays(self) -> Iterator[np.ndarray]:
         """The primes <= limit as one ascending int64 array per segment, 2
-        leading the first; the last array may be empty."""
+        leading the first; the last array may be empty.  Each is a copy of
+        its own, which the caller may write to."""
+        return (primes.astype(np.int64) for primes in self._rows())
+
+    def _rows(self) -> Iterator[np.ndarray]:
+        """The arrays of `arrays()` as read-only int32, with no copy below
+        2^24: each row there is a view of the kept block, and the last row a
+        slice of its segment's primes.  Primes are below SIEVE_CEILING, so
+        int32 holds them.  The scans only read rows, so they read these: the
+        int64 copies of `arrays()` to 10^7 take about 1.7 ms a stream, these
+        views under 0.02 ms (numpy 2.4, 2-core x86)."""
         last = self.limit // SEGMENT_SPAN  # the only segment that reaches past the limit
         kept = min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
         segs = self._segments_from(kept * SEGMENT_SPAN) if kept <= last else ()
-        rows = (_kept_primes(i).astype(np.int64) for i in range(kept))  # copies: the block is never handed out
-        for i, primes in enumerate(itertools.chain(rows, map(_primes_of, segs))):
-            yield primes if i < last else primes[primes <= self.limit]
+        for i, primes in enumerate(itertools.chain(map(_kept_primes, range(kept)), map(_primes_of, segs))):
+            if i == last:  # an int32 bound: a Python int would make searchsorted widen the row
+                primes = primes[: np.searchsorted(primes, np.int32(self.limit), "right")]
+            primes.flags.writeable = False  # a view of its own or a fresh array: the block stays writable
+            yield primes
 
     def __iter__(self) -> Iterator[int]:
-        for primes in self.arrays():
+        for primes in self._rows():
             yield from primes.tolist()
 
 
@@ -209,7 +225,7 @@ def prime_mask(limit: int) -> np.ndarray:
     """
     if limit < 0:
         raise DomainError("limit must be non-negative")
-    stream = PrimeStream(limit).arrays() if limit >= 2 else ()
+    stream = PrimeStream(limit)._rows() if limit >= 2 else ()
     mask = np.zeros(limit + 1, dtype=bool)
     for primes in stream:
         mask[primes] = True

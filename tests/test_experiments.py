@@ -113,7 +113,7 @@ def test_coverage_matches_scalar_reference(length, limit):
     ],
 )
 def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, m, last):
-    stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int64) for a in arrays))
+    stream = types.SimpleNamespace(_rows=lambda: (np.array(a, dtype=np.int32) for a in arrays))
     monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
     result = coverage_threshold(1, 1_000)
     numbers = [n for a in arrays for n in a]
@@ -186,22 +186,29 @@ def test_windows_match_digit_slices(length):
     # each prefix of EDGE_PRIMES ends at a digit count of its own; the
     # windows of a shorter prime read its digits zero-padded to the longest
     for top in range(len(EDGE_PRIMES) + 1):
-        primes = np.array(EDGE_PRIMES[:top], dtype=np.int64)
-        digits = len(str(primes.max(initial=0)))
+        digits = len(str(max(EDGE_PRIMES[:top], default=0)))
         padded = [str(p).zfill(digits) for p in EDGE_PRIMES[:top]]
         expected = [[int(s[i : i + length]) for i in range(digits - length + 1)] for s in padded]
-        wins = experiments._windows(primes, length)
-        assert wins.dtype == np.int32 and wins.shape == (top, max(digits - length + 1, 0))
-        assert wins.tolist() == expected
+        for primes in (np.array(EDGE_PRIMES[:top], dtype=np.int64), read_only_int32(EDGE_PRIMES[:top])):
+            wins = experiments._windows(primes, length)
+            assert wins.dtype == np.int32 and wins.shape == (top, max(digits - length + 1, 0))
+            assert wins.tolist() == expected
+
+
+def read_only_int32(values: list[int]) -> np.ndarray:
+    """The form of a scanned row; a kernel that writes its input raises on it."""
+    a = np.array(values, dtype=np.int32)
+    a.flags.writeable = False
+    return a
 
 
 def test_containing_matches_substrings():
     # texts of up to 9 digits, where 10**len(text) reaches 10^9 in int32, and
     # one longer than every prime, which makes no shift
-    primes = np.array(EDGE_PRIMES)
     texts = {s[i:j] for s in map(str, EDGE_PRIMES) for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
-    for text in sorted(texts | {"0", "00", "03", "1234567890"}):
-        assert experiments._containing(primes, text).tolist() == [text in str(p) for p in EDGE_PRIMES], text
+    for primes in (np.array(EDGE_PRIMES), read_only_int32(EDGE_PRIMES)):
+        for text in sorted(texts | {"0", "00", "03", "1234567890"}):
+            assert experiments._containing(primes, text).tolist() == [text in str(p) for p in EDGE_PRIMES], text
 
 
 def test_cli_coverage_map_matches_scalar_reference(tmp_path, capsys):

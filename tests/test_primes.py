@@ -163,6 +163,31 @@ def test_cached_arrays_match_oracle(limit, tmp_path):
     assert_arrays_match_oracle(limit, tmp_path)  # reads it back
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("limit", ORACLE_LIMITS)
+def test_rows_are_read_only_int32_views_of_the_block(limit, cached, cold_block, tmp_path):
+    cache_dir = tmp_path if cached else None
+    for _ in range(2):  # the first stream sieves the kept rows, the second reads them back
+        rows = list(primes_up_to(limit, cache_dir=cache_dir)._rows())
+        assert len(rows) == limit // SEGMENT_SPAN + 1
+        assert all(r.dtype == np.int32 and not r.flags.writeable for r in rows)
+        # an empty row shares no memory with anything
+        assert all(np.shares_memory(r, primes._kept) for r in rows[: _KEPT_BELOW // SEGMENT_SPAN] if r.size)
+        arrays = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+        assert np.array_equal(np.concatenate(rows), np.concatenate(arrays))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("limit", ORACLE_LIMITS)
+def test_writing_a_row_raises_and_changes_no_later_stream(limit, cached, cold_block, tmp_path):
+    cache_dir = tmp_path if cached else None
+    for r in primes_up_to(limit, cache_dir=cache_dir)._rows():
+        with pytest.raises(ValueError, match="read-only"):
+            r[:] = 0
+    for stream in (PrimeStream(limit, cache_dir)._rows(), PrimeStream(limit, cache_dir).arrays()):
+        assert np.array_equal(np.concatenate(list(stream)), np.flatnonzero(plain_sieve(limit)))
+
+
 def test_warm_stream_extracts_nothing_below_the_bound(monkeypatch):
     list(PrimeStream(_KEPT_BELOW - 1).arrays())
 
