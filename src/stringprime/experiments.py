@@ -234,7 +234,8 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
         raise DomainError("bounds must be >= 1")
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
     rows = primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir)._rows()
-    at = np.array(bounds, dtype=np.int32)  # int64 bounds would make searchsorted widen each row
+    # int32, as the stream has checked the ceiling: int64 bounds would make searchsorted widen each row
+    at = np.array(bounds, dtype=np.int32)
     for primes in rows:
         pi_n += np.searchsorted(primes, at, side="right")
         containing += np.searchsorted(primes[_containing(primes, pat.text)], at, side="right")
@@ -264,30 +265,22 @@ def _windows(primes: np.ndarray, length: int) -> np.ndarray:
 def _containing(primes: np.ndarray, text: str) -> np.ndarray:
     """Mask of the primes whose decimal rendering contains `text`.
 
-    With v = int(text) and l = len(text), the window of p that ends k digits
-    from the right equals v iff v * 10**k <= p mod 10**(k + l) < (v + 1) *
-    10**k.  So a shift k takes one floor division, for the remainder
-    p - p // 10**(k + l) * 10**(k + l), and one unsigned compare of that
-    remainder less v * 10**k against 10**k.  At the top shift every p is
-    below 10**(k + l), so p is its own remainder and nothing is divided.
-
-    A window counts only while it lies inside the prime.  A window equal to
-    a nonzero-led text always does.  A zero-led one does iff a digit lies
-    above it, p >= 10**(k + l), which no p meets at the top shift; below it,
-    the quotient is taken as at least 1, which puts every smaller p below
-    the range.  Primes are below 10^9, so int32 holds them and every
-    10**(k + l) that a shift uses; a text longer than every prime makes no
-    shift.
-
-    The input is only read.  The shifts write two scratch arrays made once
-    per call, with out=: a fresh temporary per operation took 15-20% longer
-    over the primes to 10^7 (numpy 2.4, 2-core x86)."""
+    With v = int(text) and l = len(text), the window of p ending k digits
+    from the right equals v iff p mod 10**(k + l) - v * 10**k, read
+    unsigned, is below 10**k: one floor division and one compare per shift,
+    and no division at the top shift, where every p is its own remainder.
+    A window equal to a nonzero-led text lies inside the prime; a zero-led
+    one does iff p >= 10**(k + l), never at the top shift, and below it a
+    quotient taken as at least 1 puts every smaller p out of range.  Primes
+    are below 10^9, so int32 holds them and every power a shift uses.  The
+    input is only read; the shifts write two scratch arrays with out=, as a
+    fresh temporary per operation took 15-20% longer (numpy 2.4, 2-core x86)."""
     length, v = len(text), int(text)
-    top = len(str(primes.max(initial=0))) - length  # the window at the longest primes' first digit
+    top = len(str(primes.max(initial=0))) - length  # the shift of the longest primes' leading window
     hit = np.zeros(primes.size, dtype=bool)
     r = np.empty(primes.size, dtype=np.int32)
     match = np.empty(primes.size, dtype=bool)
-    for k in range(top + (text[0] != "0")):  # no zero-led window at the top lies inside a prime
+    for k in range(top + (text[0] != "0")):
         if k < top:
             m = 10 ** (k + length)
             np.floor_divide(primes, m, out=r)
@@ -296,7 +289,7 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
             np.multiply(r, m, out=r)
             np.subtract(primes, r, out=r)
             r -= v * 10**k
-        else:  # every p is below 10**(top + length), so p is its own remainder
+        else:
             np.subtract(primes, v * 10**k, out=r)
         np.less(r.view(np.uint32), 10**k, out=match)
         hit |= match

@@ -194,10 +194,9 @@ class PrimeStream:
     def _rows(self) -> Iterator[np.ndarray]:
         """The arrays of `arrays()` as read-only int32, with no copy below
         2^24: each row there is a view of the kept block, and the last row a
-        slice of its segment's primes.  Primes are below SIEVE_CEILING, so
-        int32 holds them.  The scans only read rows, so they read these: the
-        int64 copies of `arrays()` to 10^7 take about 1.7 ms a stream, these
-        views under 0.02 ms (numpy 2.4, 2-core x86)."""
+        slice of its segment's primes.  The scans only read rows, so they
+        read these: the int64 copies of `arrays()` to 10^7 take about 1.7 ms
+        a stream, these views under 0.02 ms (numpy 2.4, 2-core x86)."""
         last = self.limit // SEGMENT_SPAN  # the only segment that reaches past the limit
         kept = min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
         segs = self._segments_from(kept * SEGMENT_SPAN) if kept <= last else ()
