@@ -121,7 +121,7 @@ def least_prime_containing(
 ) -> int | None:
     """Smallest prime <= limit containing the pattern, or None."""
     text = as_digit_string(pattern).text
-    for primes in primes_up_to(limit, cache_dir=cache_dir)._rows():
+    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
         hits = primes[_containing(primes, text)]
         if hits.size:
             return int(hits[0])
@@ -150,7 +150,7 @@ def coverage_threshold(
     lo = 10 ** (length - 1)
     unseen = np.iinfo(np.int32).max
     first = np.full(10 * lo, unseen, dtype=np.int32)
-    for primes in primes_up_to(limit, cache_dir=cache_dir)._rows():
+    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
         for w in _windows(primes, length).T:  # per column: numpy 2.4's ufunc.at misreads broadcast values
             np.minimum.at(first, w, primes)
         m = int(first[lo:].max())
@@ -186,7 +186,7 @@ def find_prime_ap(
     if k > 6:
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
-    stream = primes_up_to(limit, cache_dir=cache_dir)._rows()
+    stream = primes_up_to(limit, cache_dir=cache_dir).arrays()
     c = np.concatenate([a[_containing(a, text)] for a in stream], dtype=np.int64)
     for i in range(c.size):
         a = int(c[i])
@@ -233,7 +233,7 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
-    rows = primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir)._rows()
+    rows = primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir).arrays()
     # int32, as the stream has checked the ceiling: int64 bounds would make searchsorted widen each row
     at = np.array(bounds, dtype=np.int32)
     for primes in rows:

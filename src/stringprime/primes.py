@@ -155,12 +155,11 @@ class PrimeStream:
     """Single-consumer ascending iterator over all primes in [2, limit].
 
     The primes below 2^24 come from a block kept for the process and shared
-    by every thread.  The scans read them in place, as read-only int32 views
-    (`_rows()`); `arrays()` hands out int64 copies.  Past that block, and in
-    all of `segments()`, the marks come from an on-disk cache in `cache_dir`
-    if one is given and not empty, else from the sieve; the cache is an
-    optimization only and a missing or corrupt file never changes the
-    yielded primes.
+    by every thread; `arrays()`, the one array form of a stream, yields them
+    in place as read-only int32 views.  Past that block, and in all of `segments()`, the
+    marks come from an on-disk cache in `cache_dir` if one is given and not
+    empty, else from the sieve; the cache is an optimization only and a
+    missing or corrupt file never changes the yielded primes.
     Cached rows are yielded as they are checked or sieved; a new file replaces
     the old one only once the stream has written its last needed row and runs
     to its end, so a stream closed early keeps no rows and a repeat sieves them.
@@ -175,6 +174,9 @@ class PrimeStream:
         self._cache_dir = os.fspath(cache_dir) if cache_dir else None
 
     def segments(self) -> Iterator[SieveSegment]:
+        """One packed `SieveSegment` per segment, from segment 0 on: read from
+        the cache file with a cache directory, sieved without one.  The marks
+        are exact up to limit."""
         return self._segments_from(0)
 
     def _segments_from(self, start: int) -> Iterator[SieveSegment]:
@@ -186,17 +188,11 @@ class PrimeStream:
             yield from _sieve_segments(self.limit, start=start)
 
     def arrays(self) -> Iterator[np.ndarray]:
-        """The primes <= limit as one ascending int64 array per segment, 2
-        leading the first; the last array may be empty.  Each is a copy of
-        its own, which the caller may write to."""
-        return (primes.astype(np.int64) for primes in self._rows())
-
-    def _rows(self) -> Iterator[np.ndarray]:
-        """The arrays of `arrays()` as read-only int32, with no copy below
-        2^24: each row there is a view of the kept block, and the last row a
-        slice of its segment's primes.  The scans only read rows, so they
-        read these: the int64 copies of `arrays()` to 10^7 take about 1.7 ms
-        a stream, these views under 0.02 ms (numpy 2.4, 2-core x86)."""
+        """The primes <= limit as one ascending, read-only int32 array per
+        segment, 2 leading the first; the last array may be empty.  Below
+        2^24 each is a view of the kept block, so a stream of the primes to
+        10^7 copies nothing.  A caller that writes, or whose arithmetic can
+        pass 2^31, copies first: `astype(np.int64)`."""
         last = self.limit // SEGMENT_SPAN  # the only segment that reaches past the limit
         kept = min(last + 1, _KEPT_BELOW // SEGMENT_SPAN)
         segs = self._segments_from(kept * SEGMENT_SPAN) if kept <= last else ()
@@ -207,7 +203,7 @@ class PrimeStream:
             yield primes
 
     def __iter__(self) -> Iterator[int]:
-        for primes in self._rows():
+        for primes in self.arrays():
             yield from primes.tolist()
 
 
@@ -224,7 +220,7 @@ def prime_mask(limit: int) -> np.ndarray:
     """
     if limit < 0:
         raise DomainError("limit must be non-negative")
-    stream = PrimeStream(limit)._rows() if limit >= 2 else ()
+    stream = PrimeStream(limit).arrays() if limit >= 2 else ()
     mask = np.zeros(limit + 1, dtype=bool)
     for primes in stream:
         mask[primes] = True

@@ -278,9 +278,10 @@ def test_bound_report_past_the_length_ceiling_is_a_resource_limit(l):
 
 @pytest.mark.parametrize("l", [19, 20, 25, 302])
 def test_numpy_lengths_match_python_ints(l):
-    # 10**l in int64 overflows from l = 19
-    assert bound_report(np.int64(l)) == bound_report(l)
-    assert coupon_prediction(np.int64(l)) == coupon_prediction(l)
+    # 10**l in int64 overflows from l = 19, in int32 from l = 10
+    for n in (np.int64(l), np.int32(l)):
+        assert bound_report(n) == bound_report(l)
+        assert coupon_prediction(n) == coupon_prediction(l)
 
 
 def test_bound_report_exact_le_simple_from_6():

@@ -139,7 +139,7 @@ def test_count_rejects_a_non_integer_bound(x):
 
 def test_count_accepts_numpy_integers():
     np = pytest.importorskip("numpy")
-    assert count_avoiders("9", np.int64(99)) == count_avoiders("9", 99) == 80
+    assert count_avoiders("9", np.int64(99)) == count_avoiders("9", np.int32(99)) == count_avoiders("9", 99) == 80
 
 
 def enumerate_base_r_avoiders(r: int, b: int, d: int) -> int:

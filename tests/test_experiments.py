@@ -113,7 +113,7 @@ def test_coverage_matches_scalar_reference(length, limit):
     ],
 )
 def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, m, last):
-    stream = types.SimpleNamespace(_rows=lambda: (np.array(a, dtype=np.int32) for a in arrays))
+    stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int32) for a in arrays))
     monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
     result = coverage_threshold(1, 1_000)
     numbers = [n for a in arrays for n in a]

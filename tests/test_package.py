@@ -4,6 +4,8 @@ the loading of the sieve-backed names on first use."""
 from __future__ import annotations
 
 import importlib
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -77,3 +79,17 @@ def test_fresh_package_lists_every_export_and_imports_submodules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "83"
+
+
+def test_benchmark_entry_points_exist():
+    # The benchmark's tracer wraps these by name (a method where its class
+    # defines it), so a rename here would break a traced run; run_path
+    # compiles the file without writing bytecode beside it.
+    tracer = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+    for module, attr, _, _ in tracer["ENTRY_POINTS"]:
+        owner = importlib.import_module(f"stringprime.{module}")
+        cls, _, method = attr.rpartition(".")
+        if cls:
+            assert method in vars(getattr(owner, cls)), f"{module}.{attr}"
+        else:
+            assert hasattr(owner, attr), f"{module}.{attr}"
