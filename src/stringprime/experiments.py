@@ -177,29 +177,62 @@ def find_prime_ap(
     """A k-term arithmetic progression of primes <= limit all containing the
     pattern, or None.
 
-    Searches ascending first term, then ascending difference, over one
-    sorted int64 array of the containing primes (8 bytes each); the first
-    hit is returned, with no minimality claim beyond that ordering.
+    Searches ascending first term, then ascending difference; the first hit
+    is returned, with no minimality claim beyond that ordering.  The
+    containing primes are gathered, 4 bytes each, into one int32 array c
+    each time the rows read double.  Then the least of them, c[0], is tried
+    on the differences whose last term is at most the largest prime read:
+    a progression found is the answer, as every smaller difference was
+    checked against every containing prime its terms can be, and no first
+    term comes before c[0].  So the stream is read only up to the try that
+    decides c[0]; if none does, every first term is tried once every row
+    is read.
     """
     if k < 3:
         raise DomainError("progression length k must be >= 3")
     if k > 6:
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
-    stream = primes_up_to(limit, cache_dir=cache_dir).arrays()
-    c = np.concatenate([a[_containing(a, text)] for a in stream], dtype=np.int64)
+    rows = primes_up_to(limit, cache_dir=cache_dir).arrays()
+    parts, refuted = [], 0  # every difference from c[0] up to refuted has failed
+    for r, primes in enumerate(rows, 1):
+        parts.append(primes[_containing(primes, text)])
+        if r & (r - 1) == 0:  # r is a power of two
+            parts = [np.concatenate(parts)]
+            c = parts[0]
+            if c.size and primes.size:
+                top = int(primes[-1])
+                if d := _least_difference(c, 0, k, top, refuted):
+                    return _progression(int(c[0]), d, k)
+                refuted = (top - int(c[0])) // (k - 1)
+    c = np.concatenate(parts)
     for i in range(c.size):
-        a = int(c[i])
-        # every difference whose last term stays <= limit, ascending; keep
-        # those whose further terms are containing primes
-        d = c[i + 1 : np.searchsorted(c, a + (limit - a) // (k - 1), "right")] - a
-        for j in range(2, k):
-            t = a + j * d
-            d = d[c[np.searchsorted(c, t).clip(max=c.size - 1)] == t]
-        if d.size:
-            d = int(d[0])
-            return APResult(first_term=a, difference=d, length=k, terms=tuple(a + j * d for j in range(k)))
+        if d := _least_difference(c, i, k, limit, refuted if i == 0 else 0):
+            return _progression(int(c[i]), d, k)
     return None
+
+
+def _least_difference(c: np.ndarray, i: int, k: int, top: int, above: int = 0) -> int | None:
+    """The least d > above with c[i] + j*d in c for every j < k and last
+    term c[i] + (k-1)*d <= top, or None; c ascends and holds every
+    containing prime <= top.  Every term is at most top <= 10^9, so int32
+    holds it."""
+    a = int(c[i])
+    # every difference in (above, (top - a) // (k - 1)], ascending (int32
+    # bounds: a Python int would make searchsorted widen c); keep those whose
+    # further terms are containing primes
+    lo, hi = np.searchsorted(c, np.array([a + above, a + (top - a) // (k - 1)], dtype=np.int32), "right")
+    d = c[lo:hi] - a
+    for j in range(2, k):
+        t = a + j * d
+        d = d[c.take(np.searchsorted(c, t), mode="clip") == t]
+        if not d.size:
+            return None
+    return int(d[0])
+
+
+def _progression(a: int, d: int, k: int) -> APResult:
+    return APResult(first_term=a, difference=d, length=k, terms=tuple(a + j * d for j in range(k)))
 
 
 def relative_density(

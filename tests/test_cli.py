@@ -433,8 +433,10 @@ def test_no_subcommand_usage(capsys):
     assert "usage" in err
 
 
-# ap reads its whole stream, and a stream reads the cache only from 2^24 on
-_PAST_THE_KEPT_BLOCK = ("ap", "--pattern", "9", "--k", "3", "--limit", "16777217")
+# a stream reads the cache only from 2^24 on, and ap reads its whole stream
+# when no progression starts at the least containing prime: for "21" and
+# k = 6, none from 211 ends below 10^8
+_PAST_THE_KEPT_BLOCK = ("ap", "--pattern", "21", "--k", "6", "--limit", "16777217")
 
 
 def test_cache_dir_flag(capsys, tmp_path):

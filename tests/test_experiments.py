@@ -22,7 +22,7 @@ from stringprime.experiments import (
     relative_density,
     verify_ap,
 )
-from stringprime.primes import SEGMENT_SPAN, is_prime, primes_up_to
+from stringprime.primes import _KEPT_BELOW, SEGMENT_SPAN, PrimeStream, is_prime, prime_count, primes_up_to
 
 # Scalar reference scans: one Python int at a time, containment by substring.
 PATTERNS = ["7", "0", "00", "03", "05", "11", "121", "1212", "909", "1000003", "123456789012"]
@@ -337,8 +337,9 @@ def test_ap_search_stops_when_no_difference_fits():
 
 
 def test_ap_search_holds_one_array_of_candidates():
-    # about 400k containing primes at 8 bytes, held twice, plus one
-    # segment's work arrays; a list and a set of them took about 40 MB
+    # the containing primes of the rows read, at 4 bytes, held twice while
+    # they are gathered, plus one segment's work arrays; a list and a set
+    # of them took about 40 MB
     find_prime_ap("1", 3, 10**4)
     tracemalloc.start()
     try:
@@ -347,6 +348,75 @@ def test_ap_search_holds_one_array_of_candidates():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10**7
+
+
+@pytest.fixture
+def rows_read(monkeypatch) -> list[int]:
+    """The number of arrays each PrimeStream.arrays() stream has yielded, one entry per stream."""
+    arrays, read = PrimeStream.arrays, []
+
+    def spy(self):
+        read.append(0)
+        for primes in arrays(self):
+            read[-1] += 1
+            yield primes
+
+    monkeypatch.setattr(PrimeStream, "arrays", spy)
+    return read
+
+
+# Five rows, the last empty.  c[0] is decided by the try after row 1 for
+# ("19", 4), and by those after rows 2 and 4 for ("00", 5) and ("10", 5),
+# last terms 2,000,209 and 4,032,101.
+# No progression starts at c[0] for the rest, which read every row: "21"
+# answers from 421, not 211, "01" from 401 and "02" from 2027, last term
+# 3,047,027.
+@pytest.mark.parametrize(
+    "text, k, rows",
+    [("19", 4, 1), ("00", 5, 2), ("10", 5, 4), ("21", 5, 5), ("01", 6, 5), ("02", 6, 5)],
+)
+def test_ap_early_and_late_answers_match_scalar_reference(rows_read, text, k, rows):
+    limit = 4 * SEGMENT_SPAN
+    ap = find_prime_ap(text, k, limit)
+    assert rows_read == [rows]
+    assert (ap.first_term, ap.difference) == scalar_ap(scalar_containing(text, limit), k, limit)
+    assert verify_ap(ap, text)
+
+
+# The search reads only containment and order, so these need not be primes.
+# A try after row 1 rules out every d up to (E - 11) // (k - 1) = 1 from
+# c[0] = 11, E the row's last number; row 2 brings d = 2 into reach, and in
+# the last case the try comes only once row 3, the end, is read.
+@pytest.mark.parametrize(
+    "rows, k",
+    [([[11, 13], [15, 17, 19]], 3), ([[11, 13, 14], [15, 16, 17]], 4), ([[11, 13], [14], [15, 17, 19]], 3)],
+)
+def test_ap_tries_the_first_difference_past_those_ruled_out(monkeypatch, rows, k):
+    stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int32) for a in rows))
+    monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
+    numbers = [n for a in rows for n in a]
+    ap = find_prime_ap("1", k, 100)
+    assert (ap.first_term, ap.difference) == scalar_ap(numbers, k, numbers[-1]) == (11, 2)
+
+
+def test_ap_reads_one_row_when_it_decides_and_every_row_when_none_does(rows_read):
+    assert find_prime_ap("19", 4, 10**7).terms == (19, 4219, 8419, 12619)
+    assert find_prime_ap("21", 6, 10**7).first_term == 421
+    assert rows_read == [1, 10**7 // SEGMENT_SPAN + 1]
+
+
+def test_early_ap_answer_leaves_the_cache_file_as_it_was(tmp_path, capsys):
+    # c[0] = 1061 is decided by the try after 32 rows, past the file's 17,
+    # so the stream has begun a grown file when the search closes it
+    path = tmp_path / "sieve.spsv"
+    prime_count(_KEPT_BELOW + 5_000, cache_dir=tmp_path)
+    before = path.read_bytes()
+    ap = find_prime_ap("06", 6, 2**26, cache_dir=tmp_path)
+    assert (ap.first_term, ap.terms[-1]) == (1061, 19_426_061)
+    assert ap == find_prime_ap("06", 6, 2**26)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.spsv"]  # no .spsv- temporary left
+    assert capsys.readouterr().err == ""
 
 
 def test_ap_domain():
