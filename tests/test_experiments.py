@@ -339,11 +339,12 @@ def test_ap_search_stops_when_no_difference_fits():
 def test_ap_search_holds_one_array_of_candidates():
     # the containing primes of the rows read, at 4 bytes, held twice while
     # they are gathered, plus one segment's work arrays; a list and a set
-    # of them took about 40 MB
+    # of them took about 40 MB for "1"; "21" reads every row
     find_prime_ap("1", 3, 10**4)
     tracemalloc.start()
     try:
         assert find_prime_ap("1", 3, 10**7).terms == (11, 41, 71)
+        assert find_prime_ap("21", 6, 10**7).first_term == 421
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,18 +366,20 @@ def rows_read(monkeypatch) -> list[int]:
     return read
 
 
-# Five rows, the last empty.  c[0] is decided by the try after row 1 for
-# ("19", 4), and by those after rows 2 and 4 for ("00", 5) and ("10", 5),
-# last terms 2,000,209 and 4,032,101.
+# limit = spans * SEGMENT_SPAN gives spans + 1 rows, the last empty.  With
+# four spans, c[0] is decided by the try after row 1 for ("19", 4), and by
+# those after rows 2 and 4 for ("00", 5) and ("10", 5), last terms 2,000,209
+# and 4,032,101.
 # No progression starts at c[0] for the rest, which read every row: "21"
 # answers from 421, not 211, "01" from 401 and "02" from 2027, last term
-# 3,047,027.
+# 3,047,027.  With one span, the try due after row 2 finds that row empty.
 @pytest.mark.parametrize(
-    "text, k, rows",
-    [("19", 4, 1), ("00", 5, 2), ("10", 5, 4), ("21", 5, 5), ("01", 6, 5), ("02", 6, 5)],
+    "text, k, spans, rows",
+    [("19", 4, 4, 1), ("00", 5, 4, 2), ("10", 5, 4, 4), ("21", 5, 4, 5), ("01", 6, 4, 5), ("02", 6, 4, 5),
+     ("21", 6, 1, 2)],
 )
-def test_ap_early_and_late_answers_match_scalar_reference(rows_read, text, k, rows):
-    limit = 4 * SEGMENT_SPAN
+def test_ap_early_and_late_answers_match_scalar_reference(rows_read, text, k, spans, rows):
+    limit = spans * SEGMENT_SPAN
     ap = find_prime_ap(text, k, limit)
     assert rows_read == [rows]
     assert (ap.first_term, ap.difference) == scalar_ap(scalar_containing(text, limit), k, limit)
