@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("BaseRContext", "PatternAutomaton", "avoider_density_bound", "base_r_digit_avoiders",
-         "build_automaton", "count_avoiders", "hw_upper_bound"),
+         "count_avoiders", "hw_upper_bound"),
         "counting",
     ),
     **dict.fromkeys(("DigitString", "contains", "decimal_digits", "parse_digit_string", "windows"), "digits"),
@@ -30,8 +30,7 @@ _EXPORTS = {
         "experiments",
     ),
     **dict.fromkeys(
-        ("PrimeStream", "SieveSegment", "is_prime", "prime_count", "prime_mask", "primes_up_to",
-         "rosser_lower"),
+        ("PrimeStream", "SieveSegment", "is_prime", "prime_count", "prime_mask", "rosser_lower"),
         "primes",
     ),
 }

@@ -49,16 +49,6 @@ class PatternAutomaton:
             tuple((t, row.count(t)) for t in dict.fromkeys(row) if t != l) for row in table[:l]
         )
 
-    def matches(self, n: int) -> bool:
-        """Feed the decimal digits of n; True iff accept is reached."""
-        state = 0
-        accept = self.accept_state
-        for c in str(n):
-            state = self.transition[state][ord(c) - 48]
-            if state == accept:
-                return True
-        return False
-
     def survivor_counts(self, length: int) -> list[int]:
         """Counts, per start state, of length-`length` digit strings that
         avoid the pattern; computed afresh from `moves` on each call."""
@@ -66,11 +56,6 @@ class PatternAutomaton:
         for _ in range(length):
             row = [sum(row[t] * ways for t, ways in moves) for moves in self.moves]
         return row + [0]
-
-
-def build_automaton(pattern: DigitString | str) -> PatternAutomaton:
-    """KMP automaton for one digit pattern."""
-    return PatternAutomaton(pattern)
 
 
 def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int:
@@ -130,6 +115,8 @@ class BaseRContext:
     k: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("r", "b", "k"):  # a numpy r would wrap at 64 bits in the formulas
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.r < 3:
             raise DomainError("base r must be >= 3 (formulas divide by r - 2)")
         if not 0 <= self.b < self.r:
@@ -140,8 +127,10 @@ class BaseRContext:
     @classmethod
     def for_value(cls, x: int, r: int, b: int = 0) -> "BaseRContext":
         """Context with k = the base-r digit count of x (exact arithmetic)."""
+        x = operator.index(x)
         if x < 1:
             raise DomainError("x must be >= 1")
+        r = cls(r=r, b=b).r  # checked before the loop below, which r = 1 would never end
         k = 0
         t = x
         while t > 0:
@@ -159,6 +148,7 @@ def _checked(value: int) -> int:
 def base_r_digit_avoiders(ctx: BaseRContext, d: int) -> int:
     """Base-r integers with exactly d digits avoiding the digit ctx.b:
     (r-1)^d when b = 0, else (r-2)(r-1)^(d-1)."""
+    d = operator.index(d)
     if d < 1:
         raise DomainError("digit count d must be >= 1")
     r = ctx.r

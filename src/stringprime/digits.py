@@ -8,6 +8,7 @@ rendering, which carries no leading zeros.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -63,6 +64,7 @@ def decimal_digits(n: int) -> list[int]:
     n = 0 yields [0] by convention; 0 is never prime, so nothing downstream
     depends on the choice.
     """
+    n = operator.index(n)  # str() of a float or a bool is no decimal rendering
     if n < 0:
         raise InvalidInputError("n must be non-negative")
     return [int(c) for c in str(n)]
@@ -74,6 +76,7 @@ def contains(n: int, pattern: DigitString | str) -> bool:
     with a leading zero can only match in the interior: contains(512, "05")
     is False while contains(103, "03") is True.
     """
+    n = operator.index(n)
     if n < 0:
         raise InvalidInputError("n must be non-negative")
     return as_digit_string(pattern).text in str(n)
@@ -84,6 +87,7 @@ def windows(n: int, length: int) -> set[DigitString]:
 
     Empty set when n has fewer than `length` digits.
     """
+    n = operator.index(n)
     if n < 0:
         raise InvalidInputError("n must be non-negative")
     if length < 1:

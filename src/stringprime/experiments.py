@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitString, as_digit_string, parse_digit_string
+from .digits import DigitString, as_digit_string, contains, parse_digit_string
 from .errors import DomainError, ResourceLimitError
-from .primes import SIEVE_CEILING, is_prime, primes_up_to
+from .primes import SIEVE_CEILING, PrimeStream, is_prime
 
 
 class CoverageMap(Mapping):
@@ -121,7 +121,7 @@ def least_prime_containing(
 ) -> int | None:
     """Smallest prime <= limit containing the pattern, or None."""
     text = as_digit_string(pattern).text
-    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
+    for primes in PrimeStream(limit, cache_dir=cache_dir).arrays():
         hits = primes[_containing(primes, text)]
         if hits.size:
             return int(hits[0])
@@ -150,7 +150,7 @@ def coverage_threshold(
     lo = 10 ** (length - 1)
     unseen = np.iinfo(np.int32).max
     first = np.full(10 * lo, unseen, dtype=np.int32)
-    for primes in primes_up_to(limit, cache_dir=cache_dir).arrays():
+    for primes in PrimeStream(limit, cache_dir=cache_dir).arrays():
         for w in _windows(primes, length).T:  # per column: numpy 2.4's ufunc.at misreads broadcast values
             np.minimum.at(first, w, primes)
         m = int(first[lo:].max())
@@ -193,7 +193,7 @@ def find_prime_ap(
     if k > 6:
         raise DomainError("desk-scale search supports k <= 6")
     text = as_digit_string(pattern).text
-    rows = primes_up_to(limit, cache_dir=cache_dir).arrays()
+    rows = PrimeStream(limit, cache_dir=cache_dir).arrays()
     parts, refuted = [], 0  # every difference from c[0] up to refuted has failed
     for r, primes in enumerate(rows, 1):
         parts.append(primes[_containing(primes, text)])
@@ -266,7 +266,7 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
-    rows = primes_up_to(max(bounds[-1], 2), cache_dir=cache_dir).arrays()
+    rows = PrimeStream(max(bounds[-1], 2), cache_dir=cache_dir).arrays()
     # int32, as the stream has checked the ceiling: int64 bounds would make searchsorted widen each row
     at = np.array(bounds, dtype=np.int32)
     for primes in rows:
@@ -331,13 +331,13 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
 
 def verify_ap(result: APResult, pattern: DigitString | str) -> bool:
     """Re-check an APResult term by term: primality, containment, spacing."""
-    text = as_digit_string(pattern).text
+    pattern = as_digit_string(pattern)
     if result.difference <= 0 or len(result.terms) != result.length:
         return False
     for j, t in enumerate(result.terms):
         if t != result.first_term + j * result.difference:
             return False
-        if not is_prime(t) or text not in str(t):
+        if not is_prime(t) or not contains(t, pattern):
             return False
     return True
 

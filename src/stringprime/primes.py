@@ -152,17 +152,21 @@ def _kept_primes(i: int) -> np.ndarray:
 
 
 class PrimeStream:
-    """Single-consumer ascending iterator over all primes in [2, limit].
+    """All primes in [2, limit], ascending.
 
-    The primes below 2^24 come from a block kept for the process and shared
-    by every thread; `arrays()`, the one array form of a stream, yields them
-    in place as read-only int32 views.  Past that block, and in all of `segments()`, the
-    marks come from an on-disk cache in `cache_dir` if one is given and not
-    empty, else from the sieve; the cache is an optimization only and a
-    missing or corrupt file never changes the yielded primes.
-    Cached rows are yielded as they are checked or sieved; a new file replaces
-    the old one only once the stream has written its last needed row and runs
-    to its end, so a stream closed early keeps no rows and a repeat sieves them.
+    A stream holds only its limit and cache directory, so it is a value:
+    each read (`arrays()`, `segments()`, iteration) starts afresh, and reads
+    may repeat, interleave or run in several threads at once, each giving
+    the same primes.  The primes below 2^24 come from a block kept for the
+    process and shared by every thread; `arrays()`, the one array form of a
+    stream, yields them in place as read-only int32 views.  Past that block,
+    and in all of `segments()`, the marks come from an on-disk cache in
+    `cache_dir` if one is given and not empty, else from the sieve; the
+    cache is an optimization only and a missing or corrupt file never
+    changes the yielded primes.  Cached rows are yielded as they are checked
+    or sieved; a new file replaces the old one only once the stream has
+    written its last needed row and runs to its end, so a stream closed
+    early keeps no rows and a repeat sieves them.
     """
 
     def __init__(self, limit: int, cache_dir: str | os.PathLike | None = None):
@@ -205,11 +209,6 @@ class PrimeStream:
     def __iter__(self) -> Iterator[int]:
         for primes in self.arrays():
             yield from primes.tolist()
-
-
-def primes_up_to(limit: int, cache_dir: str | os.PathLike | None = None) -> PrimeStream:
-    """Ascending stream of every prime in [2, limit]."""
-    return PrimeStream(limit, cache_dir=cache_dir)
 
 
 def prime_mask(limit: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 from .bounds import solve_log_n
 from .counting import PatternAutomaton, count_avoiders
 from .digits import contains
-from .primes import is_prime, prime_count, prime_mask, primes_up_to, rosser_lower
+from .primes import PrimeStream, is_prime, prime_count, prime_mask, rosser_lower
 
 
 def _trial_division_primes(limit: int) -> list[int]:
@@ -44,7 +44,7 @@ def run() -> int:
         print(f"seed-check {'PASS' if ok else 'FAIL'}: {name}")
 
     trial = _trial_division_primes(10_000)
-    check("sieve matches trial division to 10^4", list(primes_up_to(10_000)) == trial)
+    check("sieve matches trial division to 10^4", list(PrimeStream(10_000)) == trial)
     check("pi(10^4) exact", prime_count(10_000) == len(trial))
     trial_set = set(trial)
     check("is_prime matches trial division to 10^4",

@@ -400,7 +400,7 @@ class _OneWrongTransition(stringprime.PatternAutomaton):
 
 # (name in stringprime.selfcheck, its faulty stand-in given the real one, the check that must fail)
 _SEED_CHECK_FAULTS = [
-    ("primes_up_to", lambda real: lambda limit: list(real(limit))[1:], "sieve matches trial division to 10^4"),
+    ("PrimeStream", lambda real: lambda limit: list(real(limit))[1:], "sieve matches trial division to 10^4"),
     ("prime_count", lambda real: lambda x: real(x) + 1, "pi(10^4) exact"),
     ("is_prime", lambda real: lambda n: real(n) or n == 9, "is_prime matches trial division to 10^4"),
     ("rosser_lower", lambda real: float, "pi(x) > x/log x on [17, 10^4]"),

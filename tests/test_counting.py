@@ -12,7 +12,6 @@ from stringprime.counting import (
     PatternAutomaton,
     avoider_density_bound,
     base_r_digit_avoiders,
-    build_automaton,
     count_avoiders,
     hw_upper_bound,
 )
@@ -41,7 +40,7 @@ def brute_avoider_count(text: str, x: int) -> int:
     + ["12121213", "1211121", "1121112", "0000", "00100", "12312312"],
 )
 def test_transitions_match_suffix_prefix_oracle(text):
-    auto = build_automaton(text)
+    auto = PatternAutomaton(text)
     pat = auto.pattern.digits
     for s in range(len(pat)):
         for d in range(10):
@@ -49,40 +48,31 @@ def test_transitions_match_suffix_prefix_oracle(text):
 
 
 def test_automaton_single_digit():
-    auto = build_automaton("9")
+    auto = PatternAutomaton("9")
     assert auto.accept_state == 1
     assert auto.transition[0][9] == 1
     assert all(auto.transition[0][d] == 0 for d in range(9))
 
 
 def test_automaton_repeated_digit():
-    auto = build_automaton("11")
+    auto = PatternAutomaton("11")
     assert auto.transition[1][1] == 2
     assert all(auto.transition[1][d] == 0 for d in range(10) if d != 1)
 
 
 def test_automaton_121_match_takes_precedence():
     # at state 2 ("12" read) the digit 1 completes the pattern
-    auto = build_automaton("121")
+    auto = PatternAutomaton("121")
     assert auto.transition[2][1] == 3 == auto.accept_state
-    assert auto.matches(121)
+    assert count_avoiders(auto, 121) == count_avoiders(auto, 120)  # 121 itself is no avoider
     # true mismatch at state 2 falls back to the matched "1"
     assert auto.transition[2][2] == 0
     assert auto.transition[1][1] == 1
 
 
 def test_accept_state_absorbs():
-    auto = build_automaton("12")
+    auto = PatternAutomaton("12")
     assert all(auto.transition[auto.accept_state][d] == auto.accept_state for d in range(10))
-
-
-def test_matches_agrees_with_contains():
-    rng = random.Random(17)
-    for text in CORPUS:
-        auto = build_automaton(text)
-        for _ in range(300):
-            n = rng.randint(1, 10**10)
-            assert auto.matches(n) == contains(n, text)
 
 
 def test_count_examples():
@@ -93,12 +83,12 @@ def test_count_examples():
 
 def test_count_accepts_digitstring_and_automaton():
     pat = parse_digit_string("12")
-    assert count_avoiders(pat, 500) == count_avoiders("12", 500) == count_avoiders(build_automaton(pat), 500)
+    assert count_avoiders(pat, 500) == count_avoiders("12", 500) == count_avoiders(PatternAutomaton(pat), 500)
 
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_count_matches_brute_force(text):
-    auto = build_automaton(text)
+    auto = PatternAutomaton(text)
     brute = 0
     for n in range(1, 3_001):
         if text not in str(n):
@@ -114,7 +104,7 @@ def test_count_closed_form():
 def test_count_monotone_steps():
     rng = random.Random(23)
     for text in ("9", "00", "123"):
-        auto = build_automaton(text)
+        auto = PatternAutomaton(text)
         for _ in range(40):
             x = rng.randint(2, 10**12)
             step = count_avoiders(auto, x) - count_avoiders(auto, x - 1)
@@ -140,6 +130,25 @@ def test_count_rejects_a_non_integer_bound(x):
 def test_count_accepts_numpy_integers():
     np = pytest.importorskip("numpy")
     assert count_avoiders("9", np.int64(99)) == count_avoiders("9", np.int32(99)) == count_avoiders("9", 99) == 80
+
+
+def test_base_r_context_stores_python_integers():
+    np = pytest.importorskip("numpy")
+    # a numpy r would wrap at 64 bits: 99999^6 // 99998 is past 2^64
+    ctx = BaseRContext(r=np.int64(10**5), b=np.int32(1), k=np.int64(5))
+    assert (type(ctx.r), type(ctx.b), type(ctx.k)) == (int, int, int)
+    assert hw_upper_bound(ctx) == hw_upper_bound(BaseRContext(r=10**5, k=5)) == 9999600006999940000300001
+    assert base_r_digit_avoiders(ctx, np.int64(4)) == (10**5 - 2) * (10**5 - 1) ** 3
+    assert BaseRContext.for_value(np.int64(10**6), np.int64(100)) == BaseRContext(r=100, k=4)
+    with pytest.raises(CountOverflowError):
+        base_r_digit_avoiders(BaseRContext(r=np.int64(10), b=9), np.int64(200))
+
+
+def test_base_r_float_inputs_are_type_errors():
+    for call in (lambda: BaseRContext(r=10.0), lambda: BaseRContext(r=10, k=2.0),
+                 lambda: base_r_digit_avoiders(BaseRContext(r=10), 2.0), lambda: BaseRContext.for_value(99.0, 10)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def enumerate_base_r_avoiders(r: int, b: int, d: int) -> int:
@@ -181,7 +190,7 @@ def test_hw_upper_bound_majorizes_geometric_sum():
 def test_hw_majorizes_exact_counts_sampled():
     rng = random.Random(41)
     for text in CORPUS:
-        auto = build_automaton(text)
+        auto = PatternAutomaton(text)
         r = 10 ** len(text)
         for _ in range(60):
             x = rng.randint(1, 10**7)
@@ -200,6 +209,8 @@ def test_base_r_context_validation():
         base_r_digit_avoiders(BaseRContext(r=10), 0)
     with pytest.raises(DomainError):
         BaseRContext.for_value(0, 10)
+    with pytest.raises(DomainError):  # checked before the digit loop, which base 1 would never end
+        BaseRContext.for_value(5, 1)
 
 
 def test_for_value_digit_count_exact():
@@ -240,7 +251,7 @@ def test_density_bound_large_k_no_overflow():
 def test_density_bound_majorizes_exact_density():
     rng = random.Random(47)
     for text in CORPUS:
-        auto = build_automaton(text)
+        auto = PatternAutomaton(text)
         r = 10 ** len(text)
         for _ in range(30):
             n = rng.randint(10, 10**7)
@@ -253,7 +264,7 @@ def test_avoider_share_eventually_decays():
     # decrease sets in at e = 10 and the comparison is exact in integers:
     # f(e+1) < f(e)  <=>  R(10^(e+1)) (e+1) < 10 R(10^e) e.
     for text in ("9", "0", "1"):
-        auto = build_automaton(text)
+        auto = PatternAutomaton(text)
         counts = {e: count_avoiders(auto, 10**e) for e in range(10, 23)}
         for e in range(10, 22):
             assert counts[e + 1] * (e + 1) < 10 * counts[e] * e
@@ -289,7 +300,7 @@ def survivor_table_count(auto: PatternAutomaton, x: int) -> int:
 @pytest.mark.parametrize("text", ["9", "12", "0", "00", "05", "010", "11", "121", "1231", "12121212", "00100"])
 def test_count_matches_survivor_table_reference(text):
     rng = random.Random(text)
-    auto = build_automaton(text)
+    auto = PatternAutomaton(text)
     xs = [10**38 - 1, 10**37, 10 ** len(text)] + [rng.randint(1, 10 ** rng.randint(1, 38) - 1) for _ in range(300)]
     for x in xs:
         assert count_avoiders(auto, x) == survivor_table_count(auto, x), x
@@ -299,7 +310,7 @@ def test_count_matches_survivor_table_reference(text):
 def test_survivor_counts_match_brute_force(text):
     # feeding text[:s] from state 0 reaches state s, so a string w avoids
     # the pattern from state s iff text[:s] + w does not contain it
-    auto = build_automaton(text)
+    auto = PatternAutomaton(text)
     for j in range(6):
         words = [f"{n:0{j}d}" if j else "" for n in range(10**j)]
         brute = [sum(text not in text[:s] + w for w in words) for s in range(len(text))]

@@ -119,6 +119,23 @@ def test_contains_iff_window():
         assert contains(n, pat) == (pat in wins)
 
 
+def test_integer_inputs_are_read_as_integers():
+    np = pytest.importorskip("numpy")
+    # True is the integer 1, not the text "True"
+    assert contains(True, "1") and not contains(False, "1")
+    assert decimal_digits(True) == [1] and windows(True, 1) == {parse_digit_string("1")}
+    assert contains(np.int64(907), "07") and decimal_digits(np.int32(907)) == [9, 0, 7]
+    assert windows(np.int64(1847), 2) == windows(1847, 2)
+
+
+@pytest.mark.parametrize("n", [7.0, 1e20])
+def test_float_n_is_a_type_error(n):
+    # str(1e20) is "1e+20" and str(7.0) is "7.0": neither is a decimal rendering
+    for call in (lambda: contains(n, "7"), lambda: contains(n, "2"), lambda: decimal_digits(n), lambda: windows(n, 1)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_negative_rejected():
     with pytest.raises(InvalidInputError):
         decimal_digits(-1)

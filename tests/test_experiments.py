@@ -22,7 +22,7 @@ from stringprime.experiments import (
     relative_density,
     verify_ap,
 )
-from stringprime.primes import _KEPT_BELOW, SEGMENT_SPAN, PrimeStream, is_prime, prime_count, primes_up_to
+from stringprime.primes import _KEPT_BELOW, SEGMENT_SPAN, PrimeStream, is_prime, prime_count
 
 # Scalar reference scans: one Python int at a time, containment by substring.
 PATTERNS = ["7", "0", "00", "03", "05", "11", "121", "1212", "909", "1000003", "123456789012"]
@@ -30,7 +30,7 @@ LIMITS = [10, 1_000, SEGMENT_SPAN + 1]
 
 
 def scalar_containing(text: str, limit: int) -> list[int]:
-    return [p for p in primes_up_to(limit) if text in str(p)]
+    return [p for p in PrimeStream(limit) if text in str(p)]
 
 
 def scalar_ap(hits: list[int], k: int, limit: int):
@@ -51,7 +51,7 @@ def scalar_coverage(length: int, limit: int):
     """(m, last string, {string: first containing prime}) or None."""
     lo = 10 ** (length - 1)
     first = {}
-    for p in primes_up_to(limit):
+    for p in PrimeStream(limit):
         s = str(p)
         for i in range(len(s) - length + 1):
             w = s[i : i + length]
@@ -68,7 +68,7 @@ def test_scans_match_scalar_reference(text, limit):
     hits = scalar_containing(text, limit)
     assert least_prime_containing(text, limit) == (hits[0] if hits else None)
     rep = relative_density(text, limit)
-    assert (rep.pi_n, rep.containing) == (len(list(primes_up_to(limit))), len(hits))
+    assert (rep.pi_n, rep.containing) == (len(list(PrimeStream(limit))), len(hits))
     for k in range(3, 7):
         ap = find_prime_ap(text, k, limit)
         assert (k, ap and (ap.first_term, ap.difference)) == (k, scalar_ap(hits, k, limit))
@@ -114,7 +114,7 @@ def test_coverage_matches_scalar_reference(length, limit):
 )
 def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, m, last):
     stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int32) for a in arrays))
-    monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
+    monkeypatch.setattr(experiments, "PrimeStream", lambda limit, cache_dir=None: stream)
     result = coverage_threshold(1, 1_000)
     numbers = [n for a in arrays for n in a]
     assert (result.m, result.last_string.text) == (m, last)
@@ -396,7 +396,7 @@ def test_ap_early_and_late_answers_match_scalar_reference(rows_read, text, k, sp
 )
 def test_ap_tries_the_first_difference_past_those_ruled_out(monkeypatch, rows, k):
     stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int32) for a in rows))
-    monkeypatch.setattr(experiments, "primes_up_to", lambda limit, cache_dir=None: stream)
+    monkeypatch.setattr(experiments, "PrimeStream", lambda limit, cache_dir=None: stream)
     numbers = [n for a in rows for n in a]
     ap = find_prime_ap("1", k, 100)
     assert (ap.first_term, ap.difference) == scalar_ap(numbers, k, numbers[-1]) == (11, 2)

@@ -17,20 +17,19 @@ EXPORTS = {
     "bounds": ["BoundReport", "asymptotic_prediction", "bound_report", "coupon_prediction", "solve_log_n",
                "theorem_bound_exact", "theorem_bound_simple"],
     "counting": ["BaseRContext", "PatternAutomaton", "avoider_density_bound", "base_r_digit_avoiders",
-                 "build_automaton", "count_avoiders", "hw_upper_bound"],
+                 "count_avoiders", "hw_upper_bound"],
     "digits": ["DigitString", "contains", "decimal_digits", "parse_digit_string", "windows"],
     "errors": ["CountOverflowError", "DomainError", "InvalidInputError", "ResourceLimitError",
                "StringPrimeError"],
     "experiments": ["APResult", "CoverageResult", "DensityReport", "coverage_threshold", "density_table",
                     "find_prime_ap", "least_prime_containing", "relative_density", "verify_ap"],
-    "primes": ["PrimeStream", "SieveSegment", "is_prime", "prime_count", "prime_mask", "primes_up_to",
-               "rosser_lower"],
+    "primes": ["PrimeStream", "SieveSegment", "is_prime", "prime_count", "prime_mask", "rosser_lower"],
 }
 ORIGIN = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_is_pinned():
-    assert len(ORIGIN) == 40
+    assert len(ORIGIN) == 38
     assert stringprime.__all__ == sorted(name for _, name in ORIGIN)
 
 

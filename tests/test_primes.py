@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
 import random
@@ -27,7 +28,6 @@ from stringprime.primes import (
     is_prime,
     prime_count,
     prime_mask,
-    primes_up_to,
     rosser_lower,
 )
 
@@ -53,17 +53,17 @@ def plain_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def test_primes_up_to_examples():
-    assert list(primes_up_to(10)) == [2, 3, 5, 7]
-    assert list(primes_up_to(2)) == [2]
-    ps = list(primes_up_to(30))
+def test_prime_stream_examples():
+    assert list(PrimeStream(10)) == [2, 3, 5, 7]
+    assert list(PrimeStream(2)) == [2]
+    ps = list(PrimeStream(30))
     assert len(ps) == 10 and ps[-1] == 29
     assert ps == trial_division_primes(30)
 
 
 def test_stream_matches_trial_division():
     limit = 100_000
-    assert list(primes_up_to(limit)) == trial_division_primes(limit)
+    assert list(PrimeStream(limit)) == trial_division_primes(limit)
 
 
 def test_segment_span_does_not_change_primes():
@@ -76,20 +76,20 @@ def test_segment_span_does_not_change_primes():
             primes.extend(int(p) for p in odds[odds <= limit])
         per_span.append(primes)
     assert per_span[0] == per_span[1] == per_span[2]
-    assert per_span[0] == list(primes_up_to(limit))
+    assert per_span[0] == list(PrimeStream(limit))
 
 
 def test_stream_across_segments():
     # crosses segment boundaries; compare with an independent oracle
     limit = 3 * SEGMENT_SPAN + 1_021
-    got = np.array(list(primes_up_to(limit)))
+    got = np.array(list(PrimeStream(limit)))
     expected = np.flatnonzero(plain_sieve(limit))
     assert np.array_equal(got, expected)
 
 
 def test_stream_strictly_increasing_and_bounded():
     for limit in (2, 3, 97, SEGMENT_SPAN, SEGMENT_SPAN + 1, SEGMENT_SPAN + 2):
-        ps = list(primes_up_to(limit))
+        ps = list(PrimeStream(limit))
         assert all(a < b for a, b in zip(ps, ps[1:]))
         assert ps[-1] <= limit
 
@@ -107,7 +107,7 @@ def test_arrays_last_segment_may_be_empty():
     # 2^20 + 1 = 17 * 61681: the segment past the span holds no prime <= limit
     limit = SEGMENT_SPAN + 1
     assert list(PrimeStream(limit).arrays())[-1].size == 0
-    assert list(primes_up_to(limit)) == list(primes_up_to(SEGMENT_SPAN))
+    assert list(PrimeStream(limit)) == list(PrimeStream(SEGMENT_SPAN))
     assert prime_mask(limit).sum() == prime_count(SEGMENT_SPAN)
 
 
@@ -122,7 +122,7 @@ def cold_block(monkeypatch):
 
 
 def stream_primes(limit: int, cache_dir=None) -> np.ndarray:
-    arrays = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+    arrays = list(PrimeStream(limit, cache_dir=cache_dir).arrays())
     assert len(arrays) == limit // SEGMENT_SPAN + 1  # one array per segment
     return np.concatenate(arrays)
 
@@ -143,7 +143,7 @@ def test_warm_stream_sieves_nothing_below_the_bound(monkeypatch):
 
 
 def assert_arrays_match_oracle(limit: int, cache_dir=None) -> None:
-    arrays = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+    arrays = list(PrimeStream(limit, cache_dir=cache_dir).arrays())
     assert len(arrays) == limit // SEGMENT_SPAN + 1 and all(a.dtype == np.int32 for a in arrays)
     assert np.array_equal(np.concatenate(arrays), np.flatnonzero(plain_sieve(limit)))
 
@@ -168,7 +168,7 @@ def test_cached_arrays_match_oracle(limit, tmp_path):
 def test_rows_are_read_only_int32_views_of_the_block(limit, cached, cold_block, tmp_path):
     cache_dir = tmp_path if cached else None
     for _ in range(2):  # the first stream sieves the kept rows, the second reads them back
-        rows = list(primes_up_to(limit, cache_dir=cache_dir).arrays())
+        rows = list(PrimeStream(limit, cache_dir=cache_dir).arrays())
         assert len(rows) == limit // SEGMENT_SPAN + 1
         assert all(r.dtype == np.int32 and not r.flags.writeable for r in rows)
         # an empty row shares no memory with anything
@@ -180,7 +180,7 @@ def test_rows_are_read_only_int32_views_of_the_block(limit, cached, cold_block, 
 @pytest.mark.parametrize("limit", ORACLE_LIMITS)
 def test_writing_a_row_raises_and_changes_no_later_stream(limit, cached, cold_block, tmp_path):
     cache_dir = tmp_path if cached else None
-    for r in primes_up_to(limit, cache_dir=cache_dir).arrays():
+    for r in PrimeStream(limit, cache_dir=cache_dir).arrays():
         with pytest.raises(ValueError, match="read-only"):
             r[:] = 0
     assert np.array_equal(stream_primes(limit, cache_dir), np.flatnonzero(plain_sieve(limit)))
@@ -231,13 +231,13 @@ def test_kept_primes_live_in_one_block():
 
 def test_stream_limit_validation():
     with pytest.raises(DomainError):
-        primes_up_to(1)
+        PrimeStream(1)
     with pytest.raises(DomainError):
         prime_count(0)
     with pytest.raises(DomainError):
         prime_mask(-1)
     with pytest.raises(ResourceLimitError):
-        primes_up_to(SIEVE_CEILING + 1)
+        PrimeStream(SIEVE_CEILING + 1)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ def test_stream_limit_validation():
 def test_limit_past_the_ceiling_is_a_resource_limit(limit):
     # str(10**5000) exceeds Python's int-to-str digit limit, and a numpy
     # integer has no bit_length()
-    for call in (prime_count, primes_up_to, prime_mask):
+    for call in (prime_count, PrimeStream, prime_mask):
         with pytest.raises(ResourceLimitError, match="exceeds configured ceiling"):
             call(limit)
 
@@ -393,7 +393,7 @@ def test_prime_count_takes_numpy_integers():
 
 
 def test_is_prime_takes_numpy_integers():
-    primes = next(primes_up_to(1_000).arrays())
+    primes = next(PrimeStream(1_000).arrays())
     assert [is_prime(n) for n in np.arange(38, 1_001)] == [n in primes for n in range(38, 1_001)]
     assert all(is_prime(p) for p in primes)  # int32 scalars
     assert is_prime(np.int64(2**61 - 1))
@@ -826,11 +826,38 @@ def test_cache_absence_never_changes_results(tmp_path):
     # past 2^24, where a stream with a cache directory reads the file
     limit = _KEPT_BELOW + 75_000
     for _ in range(2):  # writes the file, then reads it back
-        with_cache = list(primes_up_to(limit, cache_dir=tmp_path).arrays())
-        without = list(primes_up_to(limit).arrays())
+        with_cache = list(PrimeStream(limit, cache_dir=tmp_path).arrays())
+        without = list(PrimeStream(limit).arrays())
         assert len(with_cache) == len(without) == limit // SEGMENT_SPAN + 1
         assert all(np.array_equal(a, b) for a, b in zip(with_cache, without))
     assert (tmp_path / "sieve.spsv").exists()
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_a_stream_is_a_value_every_read_of_which_gives_the_primes(cached, tmp_path):
+    # past 2^24, so that with a cache directory each read writes or reads the file
+    limit = _KEPT_BELOW + 3 * SEGMENT_SPAN + 5_000
+    stream = PrimeStream(limit, cache_dir=tmp_path if cached else None)
+    reads = [np.concatenate(list(stream.arrays())) for _ in range(2)]
+    interleaved = list(itertools.zip_longest(stream.arrays(), stream.arrays()))
+    reads += [np.concatenate(side) for side in zip(*interleaved)]
+    start, got = threading.Barrier(4), [None] * 4
+
+    def run(i):
+        start.wait()
+        got[i] = np.concatenate(list(stream.arrays()))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    reads += got
+    reads.append(np.array(list(stream)))
+    expected = np.flatnonzero(plain_sieve(limit))
+    assert len(reads) == 9 and all(np.array_equal(r, expected) for r in reads)
+    assert [p.name for p in tmp_path.iterdir()] == (["sieve.spsv"] if cached else [])
 
 
 # --- a cache directory serves only the segments from 2^24 on -------------------

@@ -1,4 +1,4 @@
-"""Property tests of the digit automaton, the containment scan and the
+"""Property tests of the exact avoider count, the containment scan and the
 y / log y inversion against brute force, and of two contracts: the CLI's
 exit codes, and a damaged sieve cache never changing the primes."""
 
@@ -20,8 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from stringprime import cli  # noqa: E402
 from stringprime.bounds import solve_log_n  # noqa: E402
-from stringprime.counting import PatternAutomaton, count_avoiders  # noqa: E402
-from stringprime.digits import contains  # noqa: E402
+from stringprime.counting import count_avoiders  # noqa: E402
 from stringprime.errors import DomainError  # noqa: E402
 from stringprime.experiments import _containing  # noqa: E402
 from stringprime.primes import (  # noqa: E402
@@ -29,9 +28,9 @@ from stringprime.primes import (  # noqa: E402
     _CACHE_RECORD,
     _KEPT_BELOW,
     SEGMENT_SPAN,
+    PrimeStream,
     is_prime,
     prime_count,
-    primes_up_to,
 )
 
 # A small alphabet makes leading zeros and self-overlapping patterns
@@ -39,29 +38,13 @@ from stringprime.primes import (  # noqa: E402
 patterns = st.text(alphabet="0129", min_size=1, max_size=4)
 
 
-@st.composite
-def pattern_and_number(draw):
-    """A pattern and a number glued from its prefixes and stray digits, so
-    partial matches that must fall back along the pattern's borders are
-    common."""
-    pattern = draw(patterns)
-    pieces = st.sampled_from([pattern[:k] for k in range(1, len(pattern) + 1)]) | st.sampled_from("0129")
-    return pattern, int("".join(draw(st.lists(pieces, min_size=1, max_size=12))))
-
-
 @given(patterns, st.integers(min_value=1, max_value=10**4))
 @example("00", 10**4)
 @example("0101", 10**4)
 @example("1231", 10**4)
+@example("1211", 121211)
 def test_count_avoiders_matches_brute_force(pattern, x):
     assert count_avoiders(pattern, x) == sum(pattern not in str(n) for n in range(1, x + 1))
-
-
-@given(pattern_and_number())
-@example(("1211", 121211))
-def test_automaton_matches_agrees_with_contains(case):
-    pattern, n = case
-    assert PatternAutomaton(pattern).matches(n) == contains(n, pattern)
 
 
 # The primes within 300 of 10^e for e = 1..8: each array mixes primes of e
@@ -206,8 +189,8 @@ def damaged(data: bytes, damage) -> bytes:
 def test_damaged_cache_is_reported_and_never_changes_the_primes(whole_cache, damage, x):
     reads = [  # each with its uncached oracle
         (lambda where: prime_count(x, cache_dir=where), prime_count(x)),
-        (lambda where: np.concatenate(list(primes_up_to(x, cache_dir=where).arrays())),
-         np.concatenate(list(primes_up_to(x).arrays()))),
+        (lambda where: np.concatenate(list(PrimeStream(x, cache_dir=where).arrays())),
+         np.concatenate(list(PrimeStream(x).arrays()))),
     ]
     with tempfile.TemporaryDirectory() as where:
         path = os.path.join(where, "sieve.spsv")
