@@ -45,6 +45,7 @@ class BoundReport:
 
 def theorem_bound_simple(l: int) -> float:
     """5.7 l^2 10^l for 1 <= l <= 18; longer strings use the log form."""
+    l = operator.index(l)  # a numpy l would make the bound a numpy float
     if not 1 <= l <= PLAIN_SCALE_MAX_L:
         raise DomainError(f"l must be in 1..{PLAIN_SCALE_MAX_L}; use theorem_bound_simple_log beyond")
     return 5.7 * l * l * 10.0**l
@@ -53,6 +54,7 @@ def theorem_bound_simple(l: int) -> float:
 def theorem_bound_simple_log(l: int) -> float:
     """log(5.7 l^2 10^l) for l >= 1: inf past l ~ 7.8e307, where l log 10
     overflows, and OverflowError past l ~ 1.8e308, which no double holds."""
+    l = operator.index(l)
     if l < 1:
         raise DomainError("l must be >= 1")
     return math.log(5.7) + 2.0 * math.log(l) + l * _LN10
@@ -60,6 +62,7 @@ def theorem_bound_simple_log(l: int) -> float:
 
 def theorem_bound_exact(r: int) -> float:
     """r log^2 r (1 + (1 + log((r-1)/(r-2))) / log r) for integer r >= 3."""
+    r = operator.index(r)
     if r < 3:
         raise DomainError("base r must be >= 3")
     log_r = math.log(r)
@@ -68,6 +71,7 @@ def theorem_bound_exact(r: int) -> float:
 
 def theorem_bound_exact_log(r: int) -> float:
     """log of theorem_bound_exact(r); usable when r itself overflows doubles."""
+    r = operator.index(r)
     if r < 3:
         raise DomainError("base r must be >= 3")
     log_r = math.log(r)
@@ -100,6 +104,7 @@ def solve_log_n(bound: float) -> float:
     to e."""
     if not math.isfinite(bound) or bound <= math.e:
         raise DomainError("y / log y = B has a solution y > e only for B finite and > e")
+    bound = float(bound)  # a numpy bound would make y a numpy float
     y = bound * (1.0 + _root_excess(math.log1p((bound - math.e - _E_TAIL) / math.e)))
     if not math.isfinite(y):
         raise DomainError(f"y / log y = {bound:g} has no root in double range; `bound --l L` reports on a log scale")
@@ -111,7 +116,7 @@ def solve_log_n_log(log_bound: float) -> float:
     root t > 1 of t - log t = log B."""
     if not math.isfinite(log_bound) or log_bound <= 1.0:
         raise DomainError("log B must be finite and > 1 (B > e)")
-    return 1.0 + _root_excess(log_bound - 1.0)
+    return 1.0 + _root_excess(float(log_bound) - 1.0)
 
 
 def coupon_prediction(l: int) -> tuple[float, float]:
@@ -137,6 +142,7 @@ def coupon_prediction(l: int) -> tuple[float, float]:
 
 def asymptotic_prediction(l: int) -> tuple[float, float]:
     """Predicted N alongside the constant it implies against l^2 10^l."""
+    l = operator.index(l)
     _, predicted_n = coupon_prediction(l)
     return predicted_n, predicted_n / (l * l * 10.0**l)
 

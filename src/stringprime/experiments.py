@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import os
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
@@ -122,9 +123,9 @@ def least_prime_containing(
     """Smallest prime <= limit containing the pattern, or None."""
     text = as_digit_string(pattern).text
     for primes in PrimeStream(limit, cache_dir=cache_dir).arrays():
-        hits = primes[_containing(primes, text)]
-        if hits.size:
-            return int(hits[0])
+        hit = _containing(primes, text)
+        if hit.any():  # argmax alone reads 0 with no hit and raises on an empty row
+            return int(primes[hit.argmax()])
     return None
 
 
@@ -145,6 +146,7 @@ def coverage_threshold(
     right within each prime, gives: the prime at which the last string
     appeared, and the one of its new strings that first occurs latest in it.
     """
+    length = operator.index(length)  # a numpy length would make the result's fields numpy integers
     if not 1 <= length <= 6:
         raise DomainError("coverage is desk-scale only: 1 <= length <= 6")
     lo = 10 ** (length - 1)
@@ -188,6 +190,7 @@ def find_prime_ap(
     decides c[0]; if none does, every first term is tried once every row
     is read.
     """
+    k = operator.index(k)
     if k < 3:
         raise DomainError("progression length k must be >= 3")
     if k > 6:
@@ -241,7 +244,7 @@ def relative_density(
     cache_dir: str | os.PathLike | None = None,
 ) -> DensityReport:
     """Exact split of the primes <= n into containing and avoiding."""
-    return _density_scan(as_digit_string(pattern), [n], cache_dir)[0]
+    return _density_scan(as_digit_string(pattern), [operator.index(n)], cache_dir)[0]
 
 
 def density_table(
@@ -250,6 +253,7 @@ def density_table(
     cache_dir: str | os.PathLike | None = None,
 ) -> list[DensityReport]:
     """One DensityReport per bound 10^e, all from a single sieve pass."""
+    exponents = [operator.index(e) for e in exponents]
     if not exponents:
         return []
     if min(exponents) < 0:
@@ -262,7 +266,10 @@ def density_table(
 
 
 def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[DensityReport]:
-    """bounds ascend with no repeats."""
+    """bounds ascend with no repeats.  A row's primes <= a bound are its
+    first e, as searchsorted of the int32 bounds gives, so the hits among
+    them are counted in the mask's first e, with no containing prime
+    gathered."""
     if min(bounds) < 1:
         raise DomainError("bounds must be >= 1")
     pi_n, containing = np.zeros((2, len(bounds)), dtype=np.int64)
@@ -270,8 +277,10 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
     # int32, as the stream has checked the ceiling: int64 bounds would make searchsorted widen each row
     at = np.array(bounds, dtype=np.int32)
     for primes in rows:
-        pi_n += np.searchsorted(primes, at, side="right")
-        containing += np.searchsorted(primes[_containing(primes, pat.text)], at, side="right")
+        ends = np.searchsorted(primes, at, side="right")
+        hit = _containing(primes, pat.text)
+        pi_n += ends
+        containing += [np.count_nonzero(hit[:e]) for e in ends.tolist()]
     return [
         DensityReport(pattern=pat, n=n, pi_n=p, containing=c, avoiding=p - c)
         for n, p, c in zip(bounds, pi_n.tolist(), containing.tolist())
@@ -295,37 +304,50 @@ def _windows(primes: np.ndarray, length: int) -> np.ndarray:
     return wins.T
 
 
-def _containing(primes: np.ndarray, text: str) -> np.ndarray:
-    """Mask of the primes whose decimal rendering contains `text`.
+_PRIMES_PER_RANGE = 512  # the crossover of _containing's two ways to find a shift
 
-    With v = int(text) and l = len(text), the window of p ending k digits
-    from the right equals v iff p mod 10**(k + l) - v * 10**k, read
-    unsigned, is below 10**k: one floor division and one compare per shift,
-    and no division at the top shift, where every p is its own remainder.
-    A window equal to a nonzero-led text lies inside the prime; a zero-led
-    one does iff p >= 10**(k + l), never at the top shift, and below it a
-    quotient taken as at least 1 puts every smaller p out of range.  Primes
-    are below 10^9, so int32 holds them and every power a shift uses.  The
-    input is only read; the shifts write two scratch arrays with out=, as a
-    fresh temporary per operation took 15-20% longer (numpy 2.4, 2-core x86)."""
+
+def _containing(primes: np.ndarray, text: str) -> np.ndarray:
+    """Mask of the ascending primes whose decimal rendering contains `text`.
+
+    With v = int(text), l = len(text) and m = 10**(k + l), the window of p
+    ending k digits from the right equals v iff p is in [q*m + v*10**k,
+    q*m + (v + 1)*10**k) for q = p // m; a zero-led window lies inside p iff
+    q >= 1.  A shift whose row crosses fewer multiples of m than one per
+    _PRIMES_PER_RANGE primes (the top shift crosses none) is found by one
+    searchsorted of the ranges' ends, clipped at primes[-1] + 1 and cast to
+    int32, as int64 ones would make it widen the row, and a slice per
+    non-empty range.  Any other shift tests p - max(q, least)*m - v*10**k <
+    10**k, read unsigned, into two scratch arrays.  The test took 4.5 us
+    plus 0.9 ns a prime and the search 6 us plus 0.4 us a range (numpy 2.4,
+    2-core x86), so they cross near one range per 450 primes; 256, 512 and
+    1024 timed the same over a scan round.  Primes are below 10^9, so int32
+    holds them and every power a shift uses.  The input is only read."""
     length, v = len(text), int(text)
-    top = len(str(primes.max(initial=0))) - length  # the shift of the longest primes' leading window
     hit = np.zeros(primes.size, dtype=bool)
+    if not primes.size:
+        return hit
+    lo, hi = int(primes[0]), int(primes[-1])
+    least = int(text[0] == "0")  # the least quotient a window inside the prime has
     r = np.empty(primes.size, dtype=np.int32)
     match = np.empty(primes.size, dtype=bool)
-    for k in range(top + (text[0] != "0")):
-        if k < top:
-            m = 10 ** (k + length)
+    for k in range(len(str(hi)) - length + 1):
+        m = 10 ** (k + length)
+        if (hi // m - lo // m) * _PRIMES_PER_RANGE < primes.size:
+            q = np.arange(max(lo // m, least), hi // m + 1) * m + v * 10**k
+            ends = np.searchsorted(primes, np.minimum([q, q + 10**k], hi + 1).astype(np.int32))
+            for a, b in zip(*ends.tolist()):
+                if a < b:
+                    hit[a:b] = True
+        else:
             np.floor_divide(primes, m, out=r)
-            if text[0] == "0":
+            if least:
                 np.maximum(r, 1, out=r)
             np.multiply(r, m, out=r)
             np.subtract(primes, r, out=r)
             r -= v * 10**k
-        else:
-            np.subtract(primes, v * 10**k, out=r)
-        np.less(r.view(np.uint32), 10**k, out=match)
-        hit |= match
+            np.less(r.view(np.uint32), 10**k, out=match)
+            hit |= match
     return hit
 
 

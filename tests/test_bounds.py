@@ -284,6 +284,22 @@ def test_numpy_lengths_match_python_ints(l):
         assert coupon_prediction(n) == coupon_prediction(l)
 
 
+NUMPY_ARGUMENTS = [(theorem_bound_simple, np.int64(3)), (theorem_bound_simple_log, np.int32(3)),
+                   (theorem_bound_exact, np.int64(5)), (theorem_bound_exact_log, np.int64(5)),
+                   (solve_log_n, np.float64(100.0)), (solve_log_n_log, np.float64(5.0)),
+                   (asymptotic_prediction, np.int64(5))]
+
+
+@pytest.mark.parametrize("function, value", NUMPY_ARGUMENTS, ids=[f.__name__ for f, _ in NUMPY_ARGUMENTS])
+def test_numpy_arguments_give_plain_floats(function, value):
+    result, expected = function(value), function(value.item())
+    assert result == expected
+    assert all(type(v) is float for v in (result if isinstance(result, tuple) else [result]))
+    if isinstance(value, np.integer):
+        with pytest.raises(TypeError):
+            function(float(value))
+
+
 def test_bound_report_exact_le_simple_from_6():
     for l in (6, 9, 15, 18):
         rep = bound_report(l)

@@ -132,6 +132,20 @@ def test_scan_results_are_plain_ints():
     assert all(type(v) is int for v in values)
 
 
+# each result field that echoes a numpy argument, one case per function
+NUMPY_ARGUMENT_FIELDS = {
+    "find_prime_ap": lambda: [find_prime_ap("1", np.int64(3), 1000).length],
+    "coverage_threshold": lambda: [(c := coverage_threshold(np.int64(1), 1000)).length, c.universe_size],
+    "density_table": lambda: [density_table("1", [np.int64(2)])[0].n],
+    "relative_density": lambda: [relative_density("1", np.int32(100)).n],
+}
+
+
+@pytest.mark.parametrize("fields", NUMPY_ARGUMENT_FIELDS.values(), ids=NUMPY_ARGUMENT_FIELDS)
+def test_numpy_arguments_give_plain_int_fields(fields):
+    assert all(type(v) is int for v in fields())
+
+
 @pytest.mark.slow
 def test_coverage_l6():
     # one row past the paper's Table 1
@@ -211,6 +225,29 @@ def test_containing_matches_substrings():
             assert experiments._containing(primes, text).tolist() == [text in str(p) for p in EDGE_PRIMES], text
 
 
+# Rows 0, 1 and the truncated row 9 of a stream to 10^7, and the last rows
+# of one past 2^24 (8-digit primes), whose last holds the primes of a span
+# of 5,000.  A 9-digit text makes no shift on these rows, and so does one
+# longer than every prime.
+REAL_ROWS = [(10**7, [0, 1, 9]), (_KEPT_BELOW + 3 * SEGMENT_SPAN + 5_000, [-3, -2, -1])]
+ROW_TEXTS = ["0", "00", "007", "7", "42", "0427", "4270", "123456789", "1234567890"]
+
+
+# A crossover of 10^9 primes a range finds by binary search only the shifts
+# whose row lies under one quotient, such as the top shift; one of 0 finds
+# every shift so.
+@pytest.mark.parametrize("per_range", [10**9, experiments._PRIMES_PER_RANGE, 0], ids=["fine", "crossover", "coarse"])
+@pytest.mark.parametrize("limit, picks", REAL_ROWS, ids=["to-1e7", "past-2^24"])
+def test_containing_matches_substrings_on_real_rows(monkeypatch, per_range, limit, picks):
+    monkeypatch.setattr(experiments, "_PRIMES_PER_RANGE", per_range)
+    rows = list(PrimeStream(limit).arrays())
+    for row in (rows[i] for i in picks):
+        for primes in (row, row[:0], row[:1], row[7:9]):
+            numbers = list(map(str, primes.tolist()))
+            for text in ROW_TEXTS:
+                assert experiments._containing(primes, text).tolist() == [text in s for s in numbers], text
+
+
 def test_cli_coverage_map_matches_scalar_reference(tmp_path, capsys):
     path = tmp_path / "map.csv"
     assert main(["coverage", "--l", "4", "--limit", str(10**6), "--save-map", str(path)]) == 0
@@ -240,6 +277,14 @@ def test_least_prime_with_leading_zero_pattern():
     p = least_prime_containing("03", 2000)
     assert p == 103
     assert contains(p, "03")
+
+
+@pytest.mark.parametrize("row", [1, 9])
+def test_least_prime_is_the_first_prime_of_a_later_row(row):
+    # only the prime itself, of all primes up to it, holds its own 7 digits
+    first = int(list(PrimeStream(10**7).arrays())[row][0])
+    text = str(first)
+    assert least_prime_containing(text, 10**7) == first == scalar_containing(text, 10**7)[0]
 
 
 def test_coverage_l1():
@@ -506,3 +551,15 @@ def test_density_pi_matches_prime_count():
 
     rep = relative_density("5", 12_345)
     assert rep.pi_n == prime_count(12_345)
+
+
+@pytest.mark.parametrize("text", ["7", "03", "4270"])
+def test_density_counts_match_scalar_reference_inside_and_after_rows(text):
+    # 10^2 .. 10^6 fall inside row 0 and 10^7 inside the truncated row 9
+    hits = scalar_containing(text, 10**7)
+    reports = density_table(text, [2, 3, 6, 7])
+    assert [r.containing for r in reports] == [sum(p <= r.n for p in hits) for r in reports]
+    # a stream to two spans ends with an empty row
+    limit = 2 * SEGMENT_SPAN
+    assert list(PrimeStream(limit).arrays())[-1].size == 0
+    assert relative_density(text, limit).containing == len(scalar_containing(text, limit))
