@@ -313,16 +313,18 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
     With v = int(text), l = len(text) and m = 10**(k + l), the window of p
     ending k digits from the right equals v iff p is in [q*m + v*10**k,
     q*m + (v + 1)*10**k) for q = p // m; a zero-led window lies inside p iff
-    q >= 1.  A shift whose row crosses fewer multiples of m than one per
-    _PRIMES_PER_RANGE primes (the top shift crosses none) is found by one
-    searchsorted of the ranges' ends, clipped at primes[-1] + 1 and cast to
-    int32, as int64 ones would make it widen the row, and a slice per
-    non-empty range.  Any other shift tests p - max(q, least)*m - v*10**k <
-    10**k, read unsigned, into two scratch arrays.  The test took 4.5 us
-    plus 0.9 ns a prime and the search 6 us plus 0.4 us a range (numpy 2.4,
-    2-core x86), so they cross near one range per 450 primes; 256, 512 and
-    1024 timed the same over a scan round.  Primes are below 10^9, so int32
-    holds them and every power a shift uses.  The input is only read."""
+    q >= 1.  A shift whose row meets fewer such ranges than one per
+    _PRIMES_PER_RANGE primes is found by a searchsorted of the ranges'
+    starts and of their ends, and a slice per non-empty range; the starts
+    stop at the last prime, so every needle is below 10^9 + 10**k and is
+    built as int32, as int64 needles would make searchsorted widen the row.
+    Any other shift tests p - max(q, least)*m - v*10**k < 10**k, read
+    unsigned, into two scratch arrays.  The test took 4.2 us plus 0.7 ns a
+    prime and the search 4 us plus 0.25-0.35 us a range (numpy 2.4, 2-core
+    x86), so they cross near one range per 400-600 primes, and a row of up
+    to 512 primes takes the test at every shift.  Primes are below 10^9, so
+    int32 holds them and every power a shift uses.  The input is only
+    read."""
     length, v = len(text), int(text)
     hit = np.zeros(primes.size, dtype=bool)
     if not primes.size:
@@ -333,10 +335,10 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
     match = np.empty(primes.size, dtype=bool)
     for k in range(len(str(hi)) - length + 1):
         m = 10 ** (k + length)
-        if (hi // m - lo // m) * _PRIMES_PER_RANGE < primes.size:
-            q = np.arange(max(lo // m, least), hi // m + 1) * m + v * 10**k
-            ends = np.searchsorted(primes, np.minimum([q, q + 10**k], hi + 1).astype(np.int32))
-            for a, b in zip(*ends.tolist()):
+        if (hi // m - lo // m + 1) * _PRIMES_PER_RANGE < primes.size:
+            starts = np.arange(max(lo // m, least) * m + v * 10**k, hi + 1, m, dtype=np.int32)
+            ends = np.searchsorted(primes, starts + 10**k).tolist()
+            for a, b in zip(np.searchsorted(primes, starts).tolist(), ends):
                 if a < b:
                     hit[a:b] = True
         else:

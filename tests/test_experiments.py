@@ -228,14 +228,14 @@ def test_containing_matches_substrings():
 # Rows 0, 1 and the truncated row 9 of a stream to 10^7, and the last rows
 # of one past 2^24 (8-digit primes), whose last holds the primes of a span
 # of 5,000.  A 9-digit text makes no shift on these rows, and so does one
-# longer than every prime.
+# longer than every prime; a slice's last prime is a text whose one range
+# starts at that prime.
 REAL_ROWS = [(10**7, [0, 1, 9]), (_KEPT_BELOW + 3 * SEGMENT_SPAN + 5_000, [-3, -2, -1])]
 ROW_TEXTS = ["0", "00", "007", "7", "42", "0427", "4270", "123456789", "1234567890"]
 
 
-# A crossover of 10^9 primes a range finds by binary search only the shifts
-# whose row lies under one quotient, such as the top shift; one of 0 finds
-# every shift so.
+# A crossover of 10^9 primes a range finds every shift by the arithmetic
+# test, and one of 0 finds every shift by binary search.
 @pytest.mark.parametrize("per_range", [10**9, experiments._PRIMES_PER_RANGE, 0], ids=["fine", "crossover", "coarse"])
 @pytest.mark.parametrize("limit, picks", REAL_ROWS, ids=["to-1e7", "past-2^24"])
 def test_containing_matches_substrings_on_real_rows(monkeypatch, per_range, limit, picks):
@@ -244,7 +244,7 @@ def test_containing_matches_substrings_on_real_rows(monkeypatch, per_range, limi
     for row in (rows[i] for i in picks):
         for primes in (row, row[:0], row[:1], row[7:9]):
             numbers = list(map(str, primes.tolist()))
-            for text in ROW_TEXTS:
+            for text in ROW_TEXTS + numbers[-1:]:
                 assert experiments._containing(primes, text).tolist() == [text in s for s in numbers], text
 
 
