@@ -333,7 +333,7 @@ def _containing(primes: np.ndarray, text: str) -> np.ndarray:
     least = int(text[0] == "0")  # the least quotient a window inside the prime has
     r = np.empty(primes.size, dtype=np.int32)
     match = np.empty(primes.size, dtype=bool)
-    for k in range(len(str(hi)) - length + 1):
+    for k in range(len(str(hi)) - length + 1 - least):  # q is 0 at the top shift
         m = 10 ** (k + length)
         if (hi // m - lo // m + 1) * _PRIMES_PER_RANGE < primes.size:
             starts = np.arange(max(lo // m, least) * m + v * 10**k, hi + 1, m, dtype=np.int32)
