@@ -71,9 +71,9 @@ def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int
     x = operator.index(x)  # a float's "." would feed the digit walk
     if x < 1:
         raise DomainError("count_avoiders needs x >= 1")
-    digits = [ord(c) - 48 for c in str(x)]
-    if len(digits) > MAX_COUNT_DIGITS:
+    if x >= 10**MAX_COUNT_DIGITS:  # before str(x), which refuses an int past 4300 digits
         raise DomainError(f"x must have at most {MAX_COUNT_DIGITS} digits")
+    digits = [ord(c) - 48 for c in str(x)]
     auto = pattern if isinstance(pattern, PatternAutomaton) else PatternAutomaton(pattern)
     trans = auto.transition
     accept = auto.accept_state

@@ -140,11 +140,19 @@ def coverage_threshold(
 
     Windows inside a prime may start with 0, but only nonzero-led windows
     count toward the universe of 9 * 10^(length-1) strings.  first[v], the
-    least prime holding v, takes a minimum per window column, which no write
+    least prime holding v, takes a minimum per digit shift, which no write
     order changes; int32 max marks v unseen, and zero-led windows are marked
-    but never read.  m and last_string mean what an ascending scan, left to
-    right within each prime, gives: the prime at which the last string
-    appeared, and the one of its new strings that first occurs latest in it.
+    but never read.  Shift k writes the windows (p // 10**k) % mod, mod =
+    10**length, of a row into one int32 scratch row: one division by a
+    scalar, about twice as fast as one by a broadcast row of divisors, then
+    x - x // mod * mod while the row is in cache, which is exact for x >= 0
+    (np.remainder takes 2.2-2.7 ns an int32, those three passes about
+    1.1 ns; numpy 2.4, 2-core x86).  np.minimum.at gets one row at a time,
+    as numpy 2.4's ufunc.at misreads values broadcast against a 2-D index.
+    Primes are below 10^9, so int32 holds them.  m and last_string mean
+    what an ascending scan, left to right within each prime, gives: the
+    prime at which the last string appeared, and the one of its new strings
+    that first occurs latest in it.
     """
     length = operator.index(length)  # a numpy length would make the result's fields numpy integers
     if not 1 <= length <= 6:
@@ -152,8 +160,13 @@ def coverage_threshold(
     lo = 10 ** (length - 1)
     unseen = np.iinfo(np.int32).max
     first = np.full(10 * lo, unseen, dtype=np.int32)
+    mod = 10**length
     for primes in PrimeStream(limit, cache_dir=cache_dir).arrays():
-        for w in _windows(primes, length).T:  # per column: numpy 2.4's ufunc.at misreads broadcast values
+        w = np.empty(primes.size, dtype=np.int32)
+        digits = len(str(primes[-1])) if primes.size else 0  # the row ascends
+        for k in range(digits - length + 1):
+            np.floor_divide(primes, 10**k, out=w)
+            w -= w // mod * mod
             np.minimum.at(first, w, primes)
         m = int(first[lo:].max())
         if m < unseen:
@@ -260,7 +273,9 @@ def density_table(
         raise DomainError("exponents must be non-negative")
     top = max(exponents)
     if top > math.log10(SIEVE_CEILING):  # checked before 10**top is built
-        raise ResourceLimitError(f"sieve limit 10^{top} exceeds configured ceiling {SIEVE_CEILING}")
+        # str() refuses an int past 4300 digits, so a longer exponent is named by its size
+        shown = top if top.bit_length() <= 2048 else f"(an exponent of {top.bit_length()} bits)"
+        raise ResourceLimitError(f"sieve limit 10^{shown} exceeds configured ceiling {SIEVE_CEILING}")
     bounds = [10**e for e in sorted(set(exponents))]
     return _density_scan(as_digit_string(pattern), bounds, cache_dir)
 
@@ -285,23 +300,6 @@ def _density_scan(pat: DigitString, bounds: list[int], cache_dir) -> list[Densit
         DensityReport(pattern=pat, n=n, pi_n=p, containing=c, avoiding=p - c)
         for n, p, c in zip(bounds, pi_n.tolist(), containing.tolist())
     ]
-
-
-def _windows(primes: np.ndarray, length: int) -> np.ndarray:
-    """Row i: the windows (p // 10**k) % 10**length of primes[i] for k
-    descending (leftmost first).  Primes are below 10^9, so int32 holds
-    them; with no windows (length > digits) the modulus goes unused.  Each
-    window is one division by a scalar, about twice as fast as one division
-    by a broadcast row of divisors, then x - x // m * m while it is in cache:
-    np.remainder takes 2.2-2.7 ns an int32, those three passes about 1.1 ns
-    (numpy 2.4, 2-core x86); the identity is exact for x >= 0."""
-    digits = len(str(primes.max(initial=0)))
-    wins = np.empty((max(digits - length + 1, 0), primes.size), dtype=np.int32)  # one row per window
-    m = 10**length
-    for row, k in zip(wins, range(digits - length, -1, -1)):
-        np.floor_divide(primes, 10**k, out=row)
-        row -= row // m * m
-    return wins.T
 
 
 _PRIMES_PER_RANGE = 512  # the crossover of _containing's two ways to find a shift

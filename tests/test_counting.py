@@ -117,6 +117,8 @@ def test_count_domain():
         count_avoiders("9", 0)
     with pytest.raises(DomainError):
         count_avoiders("9", 10**38)
+    with pytest.raises(DomainError):  # str() refuses an int past 4300 digits
+        count_avoiders("1", 10**5000)
     assert count_avoiders("9", 10**38 - 1) == 9**38 - 1
 
 

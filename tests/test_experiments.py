@@ -99,27 +99,42 @@ def test_coverage_matches_scalar_reference(length, limit):
     assert list(cov) == sorted(oracle, key=lambda s: s.digits)
 
 
+def read_only_int32(values: list[int]) -> np.ndarray:
+    """The form of a scanned row; a kernel that writes its input raises on it."""
+    a = np.array(values, dtype=np.int32)
+    a.flags.writeable = False
+    return a
+
+
 @pytest.mark.parametrize(
-    "arrays, m, last",
+    "arrays, length, m, last",
     [
         # 689 completes coverage with three new digits at once; the scan
         # order (ascending number, then left to right) makes 9 the last string.
-        pytest.param([[11, 23], [457, 689]], 689, "9", id="two-arrays"),
+        pytest.param([[11, 23], [457, 689]], 1, 689, "9", id="two-arrays"),
         # 31 holds 3 in an earlier column than 13 does; 13 still holds it first
-        pytest.param([[13, 31, 457, 68921]], 68921, "2", id="least-in-later-column"),
+        pytest.param([[13, 31, 457, 68921]], 1, 68921, "2", id="least-in-later-column"),
         # 6 is also the fourth digit of 68961 and 1 its last, but 9 is the
         # new digit that first occurs latest
-        pytest.param([[11, 23, 457, 68961]], 68961, "9", id="new-left-of-last-window"),
+        pytest.param([[11, 23, 457, 68961]], 1, 68961, "9", id="new-left-of-last-window"),
+        pytest.param([[], [11, 23], [], [457, 689]], 1, 689, "9", id="empty-rows"),
+        # every number of the first row is shorter than the strings
+        pytest.param([[2, 3, 5, 7], list(range(100, 200))], 2, 199, "99", id="no-shift-row"),
+        # the row's shifts come from its five-digit numbers; the shorter ones
+        # read zero-padded there, and those windows lead with 0 and never count
+        pytest.param([[7, 23, 101, 4567, *range(80000, 81000)]], 3, 80999, "999", id="mixed-digit-counts"),
+        # nine digits, where the top shift divides by 10**7 in int32
+        pytest.param([list(range(10**8, 10**8 + 100))], 2, 100_000_099, "99", id="nine-digit-row"),
     ],
 )
-def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, m, last):
-    stream = types.SimpleNamespace(arrays=lambda: (np.array(a, dtype=np.int32) for a in arrays))
+def test_coverage_last_string_is_rightmost_in_completing_number(monkeypatch, arrays, length, m, last):
+    stream = types.SimpleNamespace(arrays=lambda: map(read_only_int32, arrays))
     monkeypatch.setattr(experiments, "PrimeStream", lambda limit, cache_dir=None: stream)
-    result = coverage_threshold(1, 1_000)
+    result = coverage_threshold(length, 10**6)
     numbers = [n for a in arrays for n in a]
     assert (result.m, result.last_string.text) == (m, last)
     assert {s.text: p for s, p in result.covered_at.items()} == {
-        d: next(n for n in numbers if d in str(n)) for d in "123456789"
+        s: next(n for n in numbers if s in str(n)) for s in map(str, range(10 ** (length - 1), 10**length))
     }
 
 
@@ -193,27 +208,6 @@ EDGE_PRIMES = sorted(
     {next(n for n in range(10**d - 1, 1, -1) if is_prime(n)) for d in range(1, 10)}
     | {next(n for n in range(10**d + 1, 10 ** (d + 1)) if is_prime(n)) for d in range(1, 9)}
 )
-
-
-@pytest.mark.parametrize("length", range(1, 7))
-def test_windows_match_digit_slices(length):
-    # each prefix of EDGE_PRIMES ends at a digit count of its own; the
-    # windows of a shorter prime read its digits zero-padded to the longest
-    for top in range(len(EDGE_PRIMES) + 1):
-        digits = len(str(max(EDGE_PRIMES[:top], default=0)))
-        padded = [str(p).zfill(digits) for p in EDGE_PRIMES[:top]]
-        expected = [[int(s[i : i + length]) for i in range(digits - length + 1)] for s in padded]
-        for primes in (np.array(EDGE_PRIMES[:top], dtype=np.int64), read_only_int32(EDGE_PRIMES[:top])):
-            wins = experiments._windows(primes, length)
-            assert wins.dtype == np.int32 and wins.shape == (top, max(digits - length + 1, 0))
-            assert wins.tolist() == expected
-
-
-def read_only_int32(values: list[int]) -> np.ndarray:
-    """The form of a scanned row; a kernel that writes its input raises on it."""
-    a = np.array(values, dtype=np.int32)
-    a.flags.writeable = False
-    return a
 
 
 def test_containing_matches_substrings():
@@ -538,11 +532,13 @@ def test_density_table_empty_and_order():
         density_table("9", [-1])
 
 
-@pytest.mark.parametrize("exponents", [[10], [2, 5000], [10**7]])
+@pytest.mark.parametrize("exponents", [[10], [2, 5000], [10**7], [10**5000]])
 def test_density_table_rejects_a_bound_past_the_ceiling(exponents):
     # 10**5000 has more digits than str() renders; 10**(10**7) takes seconds
-    # to build, so the exponent is checked first
-    with pytest.raises(ResourceLimitError, match=f"10\\^{max(exponents)} exceeds"):
+    # to build, so the exponent is checked first; nor does str() render an
+    # exponent of 5001 digits, so that one is named by its size
+    shown = r"\(an exponent of 16610 bits\)" if exponents == [10**5000] else max(exponents)
+    with pytest.raises(ResourceLimitError, match=f"10\\^{shown} exceeds"):
         density_table("1", exponents)
 
 
