@@ -9,9 +9,10 @@ rendering, which carries no leading zeros.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,25 @@ def as_digit_string(pattern: DigitString | str) -> DigitString:
     return parse_digit_string(pattern)
 
 
+def _rendering(n: int) -> str:
+    """The decimal rendering of a non-negative integer n."""
+    n = operator.index(n)  # str() of a float or a bool is no decimal rendering
+    if n < 0:
+        raise InvalidInputError("n must be non-negative")
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's limit on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"n has more than {limit} digits, the interpreter's limit for rendering it") from None
+
+
 def decimal_digits(n: int) -> list[int]:
     """Most-significant-first digits of n.
 
     n = 0 yields [0] by convention; 0 is never prime, so nothing downstream
     depends on the choice.
     """
-    n = operator.index(n)  # str() of a float or a bool is no decimal rendering
-    if n < 0:
-        raise InvalidInputError("n must be non-negative")
-    return [int(c) for c in str(n)]
+    return [int(c) for c in _rendering(n)]
 
 
 def contains(n: int, pattern: DigitString | str) -> bool:
@@ -76,10 +86,8 @@ def contains(n: int, pattern: DigitString | str) -> bool:
     with a leading zero can only match in the interior: contains(512, "05")
     is False while contains(103, "03") is True.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise InvalidInputError("n must be non-negative")
-    return as_digit_string(pattern).text in str(n)
+    s = _rendering(n)
+    return as_digit_string(pattern).text in s
 
 
 def windows(n: int, length: int) -> set[DigitString]:
@@ -87,12 +95,9 @@ def windows(n: int, length: int) -> set[DigitString]:
 
     Empty set when n has fewer than `length` digits.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise InvalidInputError("n must be non-negative")
+    s = _rendering(n)
     if length < 1:
         raise InvalidInputError("window length must be >= 1")
-    s = str(n)
     return {
         DigitString(tuple(int(c) for c in s[i : i + length]))
         for i in range(len(s) - length + 1)

@@ -419,6 +419,16 @@ def test_seed_check_reports_a_failing_check(capsys, monkeypatch, name, fault, ch
     assert f"seed-check FAIL: {check}\n" in capsys.readouterr().out
 
 
+def test_seed_check_counts_a_pattern_string_too(capsys, monkeypatch):
+    # a pattern string is counted by its own forward walk, not by the automaton's table
+    from stringprime import selfcheck
+
+    real = selfcheck.count_avoiders
+    monkeypatch.setattr(selfcheck, "count_avoiders", lambda pattern, x: real(pattern, x) + isinstance(pattern, str))
+    assert selfcheck.run() == 1
+    assert "seed-check FAIL: exact avoider count matches brute force to 2000\n" in capsys.readouterr().out
+
+
 def test_failing_seed_check_prints_no_table(capsys, monkeypatch):
     import stringprime.selfcheck
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from stringprime.counting import (
+    MAX_COUNT_DIGITS,
     BaseRContext,
     PatternAutomaton,
     avoider_density_bound,
@@ -304,8 +305,8 @@ def test_count_matches_survivor_table_reference(text):
     rng = random.Random(text)
     auto = PatternAutomaton(text)
     xs = [10**38 - 1, 10**37, 10 ** len(text)] + [rng.randint(1, 10 ** rng.randint(1, 38) - 1) for _ in range(300)]
-    for x in xs:
-        assert count_avoiders(auto, x) == survivor_table_count(auto, x), x
+    for x in xs:  # the automaton's table lookup, then the string's forward walk
+        assert count_avoiders(auto, x) == survivor_table_count(auto, x) == count_avoiders(text, x), x
 
 
 @pytest.mark.parametrize("text", ["9", "0", "11", "010", "121"])
@@ -317,6 +318,33 @@ def test_survivor_counts_match_brute_force(text):
         words = [f"{n:0{j}d}" if j else "" for n in range(10**j)]
         brute = [sum(text not in text[:s] + w for w in words) for s in range(len(text))]
         assert auto.survivor_counts(j) == brute + [0]
+
+
+def test_survivor_counts_past_the_table():
+    # the table holds lengths below MAX_COUNT_DIGITS; longer rows are stepped on from its last
+    auto = PatternAutomaton("121")
+    row = [1, 1, 1, 0]
+    for length in range(MAX_COUNT_DIGITS + 3):
+        assert auto.survivor_counts(length) == row, length
+        row = [sum(row[t] for t in trans_row) for trans_row in auto.transition[:-1]] + [0]
+    with pytest.raises(DomainError):
+        auto.survivor_counts(-1)
+
+
+def test_pattern_string_builds_no_automaton(monkeypatch):
+    built = []
+    init = PatternAutomaton.__init__
+
+    def spy(self, pattern):
+        built.append(pattern)
+        init(self, pattern)
+
+    monkeypatch.setattr(PatternAutomaton, "__init__", spy)
+    x = 10**37 + 12_345
+    assert count_avoiders("1231", x) == count_avoiders(parse_digit_string("1231"), x)
+    assert built == []
+    assert count_avoiders(PatternAutomaton("1231"), x) == count_avoiders("1231", x)
+    assert built == ["1231"]
 
 
 def test_shared_automaton_is_never_written():

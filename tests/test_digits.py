@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from stringprime.digits import (
     parse_digit_string,
     windows,
 )
-from stringprime.errors import InvalidInputError
+from stringprime.errors import InvalidInputError, ResourceLimitError
 
 
 def test_parse_single_digit():
@@ -145,3 +146,35 @@ def test_negative_rejected():
         windows(-1, 2)
     with pytest.raises(InvalidInputError):
         windows(5, 0)
+
+
+@pytest.fixture
+def str_digits_limit():
+    """Sets the interpreter's int-to-str digit limit for one test, then restores it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+# str() refuses an int with more digits than the interpreter's limit (4300 by
+# default); past it each function raises the library's resource error, and it
+# follows the limit wherever a host sets it
+def test_decimal_digits_past_the_str_limit(str_digits_limit):
+    str_digits_limit(5000)
+    assert decimal_digits(10**4999) == [1] + [0] * 4999
+    with pytest.raises(ResourceLimitError, match="more than 5000 digits"):
+        decimal_digits(10**5000)
+
+
+def test_contains_past_the_str_limit(str_digits_limit):
+    str_digits_limit(5000)
+    assert contains(10**4999 + 7, "07")
+    with pytest.raises(ResourceLimitError, match="more than 5000 digits"):
+        contains(10**5000, "7")
+
+
+def test_windows_past_the_str_limit(str_digits_limit):
+    str_digits_limit(5000)
+    assert windows(10**4999, 2) == {parse_digit_string("10"), parse_digit_string("00")}
+    with pytest.raises(ResourceLimitError, match="more than 5000 digits"):
+        windows(10**5000, 2)

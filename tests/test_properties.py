@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from stringprime import cli  # noqa: E402
 from stringprime.bounds import solve_log_n  # noqa: E402
-from stringprime.counting import count_avoiders  # noqa: E402
+from stringprime.counting import PatternAutomaton, count_avoiders  # noqa: E402
 from stringprime.errors import DomainError  # noqa: E402
 from stringprime.experiments import _containing  # noqa: E402
 from stringprime.primes import (  # noqa: E402
@@ -44,7 +44,11 @@ patterns = st.text(alphabet="0129", min_size=1, max_size=4)
 @example("1231", 10**4)
 @example("1211", 121211)
 def test_count_avoiders_matches_brute_force(pattern, x):
-    assert count_avoiders(pattern, x) == sum(pattern not in str(n) for n in range(1, x + 1))
+    # the string's forward walk and the automaton's table lookup
+    brute = sum(pattern not in str(n) for n in range(1, x + 1))
+    for counted in (pattern, PatternAutomaton(pattern)):
+        assert count_avoiders(counted, x) == brute
+        assert brute - (count_avoiders(counted, x - 1) if x > 1 else 0) == (pattern not in str(x))
 
 
 # The primes within 300 of 10^e for e = 1..8: each array mixes primes of e
