@@ -1,10 +1,10 @@
 """Exact and bounded counting of pattern-avoiding integers.
 
-The exact count is a digit DP over a KMP automaton: a shared automaton
-reads survivor rows built once at its construction, and a one-shot pattern
-walks forward over the digits of the bound with no table.  The closed forms
-treat a length-l decimal string as a single digit in base r = 10^l and bound
-the avoiders from above.
+The exact count is a digit DP over a KMP automaton: one lookup pass over
+the digits of the bound reads survivor rows, which a shared automaton builds
+once and a pattern string builds per call, one row per digit of the bound.
+The closed forms treat a length-l decimal string as a single digit in base
+r = 10^l and bound the avoiders from above.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _kmp_tables(pattern: DigitString):
 
 class PatternAutomaton:
     """Digit automaton recognizing occurrences of one pattern, with the
-    survivor table that counts its avoiders by lookup.
+    survivor rows that count its avoiders by lookup.
 
     States 0..l where l = pattern length; state s means "the last s digits
     read equal the first s pattern digits (and no full match yet)".  State l
@@ -47,35 +47,20 @@ class PatternAutomaton:
     suffix of pattern[:s] + d that is a prefix of the pattern, and moves[s]
     holds (t, number of digits taking s to t) for each t != accept.
 
-    The survivor table, for lengths L < MAX_COUNT_DIGITS:
-    * survivors[L][s]: the length-L digit strings that avoid the pattern
-      from state s; the accept column is 0;
-    * shorter[L]: the avoiders with 1..L digits;
-    * below[s][xd]: (t, number of digits under xd taking s to t), t != accept.
-    Its 38 rows make an automaton about ten times as dear to build as the
-    transitions alone; one that is reused pays that once, and count_avoiders
-    on a pattern string builds none.  Every table is built here and never
-    written afterwards, so an automaton can be shared across threads.
+    survivors[L][s], for lengths L < MAX_COUNT_DIGITS, counts the length-L
+    digit strings that avoid the pattern from state s; the accept column is
+    0.  Its 38 rows make an automaton several times as dear to build as the
+    transitions alone; one that is reused pays that once.  Every table is
+    built here and never written afterwards, so an automaton can be shared
+    across threads.
     """
 
     def __init__(self, pattern: DigitString | str):
         pattern = as_digit_string(pattern)
         self.pattern = pattern
-        l = pattern.length
-        self.accept_state = l
+        self.accept_state = pattern.length
         self.transition, self.moves = _kmp_tables(pattern)
-        rows = [(1,) * l + (0,)]
-        for _ in range(MAX_COUNT_DIGITS - 1):
-            rows.append(_survivor_step(rows[-1], self.moves))
-        self.survivors = tuple(rows)
-        # the L-digit avoiders: the L-digit strings that avoid from state 0,
-        # less those whose first digit is 0
-        zero = self.transition[0][0]
-        shorter = [0]
-        for prev, row in zip(rows, rows[1:]):
-            shorter.append(shorter[-1] + row[0] - prev[zero])
-        self.shorter = tuple(shorter)
-        self.below = tuple(_below_pairs(row, l) for row in self.transition[:l])
+        self.survivors = _survivor_rows(self.moves, MAX_COUNT_DIGITS)
 
     def survivor_counts(self, length: int) -> list[int]:
         """Counts, per start state, of length-`length` digit strings that
@@ -88,6 +73,14 @@ class PatternAutomaton:
         for _ in range(length - MAX_COUNT_DIGITS + 1):
             row = _survivor_step(row, self.moves)
         return list(row)
+
+
+def _survivor_rows(moves, count: int) -> tuple[tuple[int, ...], ...]:
+    """The survivor rows of lengths 0..count-1; see PatternAutomaton."""
+    rows = [(1,) * len(moves) + (0,)]
+    for _ in range(count - 1):
+        rows.append(_survivor_step(rows[-1], moves))
+    return tuple(rows)
 
 
 def _survivor_step(row: tuple[int, ...], moves) -> tuple[int, ...]:
@@ -103,32 +96,16 @@ def _survivor_step(row: tuple[int, ...], moves) -> tuple[int, ...]:
     return tuple(step)
 
 
-def _below_pairs(row: tuple[int, ...], accept: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry xd: (t, number of digits under xd that `row` sends to t), t != accept."""
-    ways: dict[int, int] = {}
-    pairs = [()]
-    for t in row[:9]:
-        if t != accept:
-            ways[t] = ways.get(t, 0) + 1
-        pairs.append(tuple(ways.items()))
-    return tuple(pairs)
-
-
 def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int:
     """Exact count of n in [1, x] whose decimal rendering avoids the pattern.
 
-    A PatternAutomaton is read by lookup: the avoiders shorter than x,
-    plus, for each digit of x, the survivors of every smaller digit after
-    x's prefix, minus the zero first digit, stopping once x's prefix
-    contains the pattern.
-
-    A pattern string or DigitString, used once, builds no table and walks
-    forward over the digits of x.  After each digit, below[s] counts the
-    avoiders whose digits so far lie below x's prefix and leave the
-    automaton in state s, and `tight` is the state of x's prefix itself.  A
-    number shorter than x joins at a later digit through its nonzero first
-    digit, so leading zeros never feed the automaton and block padding
-    cannot fake a match.
+    One lookup pass over the n digits of x reads survivor rows: the
+    avoiders with 1..n-1 digits, plus, for each digit of x, the survivors of
+    every smaller digit after x's prefix, minus the zero first digit,
+    stopping once x's prefix contains the pattern.  A PatternAutomaton
+    brings its rows; a pattern string or DigitString builds only the n rows
+    that x needs, and no automaton.  Each number is read from its nonzero
+    first digit, so leading zeros never feed the automaton.
     """
     x = operator.index(x)  # a float's "." would feed the digit walk
     if x < 1:
@@ -136,48 +113,30 @@ def count_avoiders(pattern: DigitString | str | PatternAutomaton, x: int) -> int
     if x >= 10**MAX_COUNT_DIGITS:  # before str(x), which refuses an int past 4300 digits
         raise DomainError(f"x must have at most {MAX_COUNT_DIGITS} digits")
     digits = str(x).encode().translate(_DIGIT_VALUES)  # bytes of the digit values 0..9
+    n = len(digits)
     if isinstance(pattern, PatternAutomaton):
-        return _lookup_count(pattern, digits)
-    trans, moves = _kmp_tables(as_digit_string(pattern))
-    accept = len(moves)  # moves has a row per state below accept
-    first = trans[0][1:]  # a number's first digit is 1..9
-    starts = [(t, first.count(t)) for t in dict.fromkeys(first) if t != accept]
-
-    below = [0] * accept
-    for t in trans[0][1 : digits[0]]:
-        if t != accept:
-            below[t] += 1
-    tight = trans[0][digits[0]]
-    for xd in digits[1:]:
-        step = [0] * accept
-        for count, row_moves in zip(below, moves):
-            if count:
-                for t, ways in row_moves:
-                    step[t] += count * ways
-        for t, ways in starts:
-            step[t] += ways
-        row = trans[tight]  # the accept row keeps tight at accept and adds nothing
-        for t in row[:xd]:
-            if t != accept:
-                step[t] += 1
-        tight = row[xd]
-        below = step
-    return sum(below) + (tight != accept)
-
-
-def _lookup_count(auto: PatternAutomaton, digits: bytes) -> int:
-    trans, below, accept = auto.transition, auto.below, auto.accept_state
-    rows = auto.survivors[len(digits) - 1 :: -1]  # the rows of the digits left after each digit
-    # below[0][digits[0]] counts a first digit 0, which makes no number of x's length
-    total = auto.shorter[len(digits) - 1] - rows[0][trans[0][0]]
+        trans, rows = pattern.transition, pattern.survivors
+    else:
+        trans, moves = _kmp_tables(as_digit_string(pattern))
+        rows = _survivor_rows(moves, n)
+    accept = len(trans) - 1
+    total = 0
     tight = 0
-    for xd, row in zip(digits, rows):
-        for t, ways in below[tight][xd]:
-            total += row[t] * ways
-        tight = trans[tight][xd]
+    for xd, row in zip(digits, rows[n - 1 :: -1]):  # the row of the digits left after xd
+        step = trans[tight]
+        for t in step[:xd]:
+            total += row[t]  # the accept column adds 0
+        tight = step[xd]
         if tight == accept:
-            return total
-    return total + 1
+            break
+    else:
+        total += 1  # x itself
+    # the L-digit avoiders, L < n, are the L-digit strings that avoid from
+    # state 0 less those led by 0; a first digit 0 above made no n-digit number
+    zero = trans[0][0]
+    for prev, row in zip(rows, rows[1:n]):
+        total += row[0] - prev[zero]
+    return total - rows[n - 1][zero]
 
 
 @dataclass(frozen=True)

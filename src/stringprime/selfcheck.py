@@ -72,7 +72,7 @@ def run() -> int:
         for n in range(1, 2_001):
             if not contains(n, text):
                 brute += 1
-            if count_avoiders(auto, n) != brute or count_avoiders(text, n) != brute:  # lookup, then forward walk
+            if count_avoiders(auto, n) != brute or count_avoiders(text, n) != brute:
                 ok = False
                 break
     check("exact avoider count matches brute force to 2000", ok)

@@ -420,7 +420,7 @@ def test_seed_check_reports_a_failing_check(capsys, monkeypatch, name, fault, ch
 
 
 def test_seed_check_counts_a_pattern_string_too(capsys, monkeypatch):
-    # a pattern string is counted by its own forward walk, not by the automaton's table
+    # the check counts the pattern string as well as its automaton
     from stringprime import selfcheck
 
     real = selfcheck.count_avoiders

@@ -305,7 +305,7 @@ def test_count_matches_survivor_table_reference(text):
     rng = random.Random(text)
     auto = PatternAutomaton(text)
     xs = [10**38 - 1, 10**37, 10 ** len(text)] + [rng.randint(1, 10 ** rng.randint(1, 38) - 1) for _ in range(300)]
-    for x in xs:  # the automaton's table lookup, then the string's forward walk
+    for x in xs:  # the automaton's rows, then rows sized to x for the string
         assert count_avoiders(auto, x) == survivor_table_count(auto, x) == count_avoiders(text, x), x
 
 

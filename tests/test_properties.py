@@ -44,7 +44,7 @@ patterns = st.text(alphabet="0129", min_size=1, max_size=4)
 @example("1231", 10**4)
 @example("1211", 121211)
 def test_count_avoiders_matches_brute_force(pattern, x):
-    # the string's forward walk and the automaton's table lookup
+    # a pattern string counts on rows sized to x, an automaton on its own rows
     brute = sum(pattern not in str(n) for n in range(1, x + 1))
     for counted in (pattern, PatternAutomaton(pattern)):
         assert count_avoiders(counted, x) == brute
